@@ -163,8 +163,16 @@ def _cmd_selftest(args) -> int:
     return _emit({"level": args.level, "passed": checks})
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a ParseError, so they leave as a JSON document
+    with exit code 2 instead of usage text on stderr."""
+
+    def error(self, message):
+        raise ParseError("%s: %s" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="snakealg")
+    ap = _Parser(prog="snakealg")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("validate")

@@ -3,6 +3,14 @@
 The engine below is a case ledger.  It is written for snakes whose first
 alternation bit is 0; the other orientation is handled by conjugating with
 the coordinate reflection, which is an involution on everything in sight.
+
+Each snake is compiled once into a ``SnakeContext``: its generators interned
+to indices, its head generators and its descriptor alphabet keyed by integer
+exponent tuples.  The contexts the ledger hands work to (the tail, the mirror
+and the extended snake ŝ) are compiled on first use, with the maps between
+their indices and the parent's.  The ledger runs on a list of exponents and
+peels the whole multiplicity of a case in one step, so its cost depends on
+the support of an element, not on its height.
 """
 
 from __future__ import annotations
@@ -13,9 +21,12 @@ from functools import lru_cache
 from .core import Interval, MonoidElement, Snake, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
 from .primesets import (PrimeDescriptor, descriptor_index, generator_intervals,
-                        lookup_descriptor, submonoid_member, window_admissible,
-                        window_snake)
-from .snakes import epsilon_sequence, require_prime
+                        submonoid_member, window_admissible, window_snake)
+from .snakes import require_prime
+
+# compiled snakes kept for reuse; a context also holds the contexts it hands
+# work to, each of a shorter snake or of the mirror
+CONTEXT_CACHE_SIZE = 1024
 
 
 def canonical_order(w: MonoidElement) -> list[Interval]:
@@ -27,6 +38,365 @@ def canonical_order(w: MonoidElement) -> list[Interval]:
     return word
 
 
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def snake_context(s: Snake) -> "SnakeContext":
+    """The compiled context of a prime snake."""
+    return SnakeContext(s)
+
+
+def _element(n, pairs) -> MonoidElement:
+    """A monoid element from (interval, exponent) pairs, for messages."""
+    acc: dict[Interval, int] = {}
+    for iv, e in pairs:
+        if e:
+            acc[iv] = acc.get(iv, 0) + e
+    return MonoidElement.from_exponents(n, acc)
+
+
+class SnakeContext:
+    """Everything the ledger needs to know about one prime snake.
+
+    ``coords`` interns the generators (and any other interval of a
+    descriptor weight) to indices; an element is a list of exponents over
+    them.  ``alphabet`` lists the descriptors in canonical order, so sorting
+    descriptor indices sorts factors.
+    """
+
+    def __init__(self, s: Snake):
+        self.snake = s
+        self.eps0 = require_prime(s).eps[0]
+        gens = generator_intervals(s)
+        self.alphabet = tuple(sorted(descriptor_index(s).values(),
+                                     key=lambda d: (-d.weight.ht, d.weight.exps)))
+        coords = set(gens)
+        for d in self.alphabet:
+            coords.update(d.weight.support)
+        self.coords = tuple(sorted(coords))
+        self.pos = {iv: k for k, iv in enumerate(self.coords)}
+        self.gen_pos = {iv: self.pos[iv] for iv in gens}
+        self.exps = tuple(tuple((self.pos[iv], e) for iv, e in d.weight.exps)
+                          for d in self.alphabet)
+        self.index = {key: k for k, key in enumerate(self.exps)}
+        self.head = _head_generators(s, self.eps0) if s.r >= 3 else None
+        self._links: dict[str, _Link] = {}
+        self._windows = None
+        # the ledger of this length and orientation, as a plain function so
+        # that the context holds no reference to itself
+        self._ledger = self._compile_ledger()
+
+    # -- indices ------------------------------------------------------------
+
+    def find(self, pairs) -> int | None:
+        """The descriptor whose weight is the product of the (interval,
+        exponent) pairs, or None."""
+        acc: dict[int, int] = {}
+        for iv, e in pairs:
+            k = self.pos.get(iv)
+            if k is None:
+                return None
+            acc[k] = acc.get(k, 0) + e
+        return self.index.get(tuple(sorted(acc.items())))
+
+    def _peel(self, *ivs) -> tuple[int | None, tuple[Interval, ...]]:
+        return self.find((iv, 1) for iv in ivs), ivs
+
+    def vector(self, w: MonoidElement) -> list[int]:
+        if w.n != self.snake.n:
+            raise PreconditionError("rank mismatch: %d vs %d" % (w.n, self.snake.n))
+        v = [0] * len(self.coords)
+        for iv, e in w.exps:
+            k = self.gen_pos.get(iv)
+            if k is None:
+                raise PreconditionError(
+                    "element %s is outside the submonoid of %s" % (w, self.snake))
+            v[k] = e
+        return v
+
+    def element(self, v) -> MonoidElement:
+        return _element(self.snake.n, zip(self.coords, v))
+
+    def link(self, kind: str) -> "_Link":
+        """The tail, mirror or ŝ context, compiled on first use."""
+        link = self._links.get(kind)
+        if link is None:
+            s = self.snake
+            if kind == "tail":
+                link = _Link(self, snake_context(s.subsnake(2, s.r)), False)
+            elif kind == "mirror":
+                link = _Link(self, snake_context(s.reflect()), True)
+            else:
+                shat = Snake(s.n, (self.head[1],) + s.intervals[2:])
+                link = _Link(self, snake_context(shat), False)
+            self._links[kind] = link
+        return link
+
+    # -- the ledger ---------------------------------------------------------
+
+    def solve(self, v: list[int]) -> dict[int, int]:
+        """Multiplicity of each descriptor in the canonical factorization of
+        the element with exponents v, checked to multiply back to v."""
+        counts: dict[int, int] = {}
+        if any(v):
+            self._ledger(self, list(v), counts)
+        total = [0] * len(v)
+        for k, m in counts.items():
+            for c, e in self.exps[k]:
+                total[c] += e * m
+        if total != v:
+            raise FalsifiedInvariantError(
+                "weight recovery failed for %s over %s: got %s"
+                % (self.element(v), self.snake, self.element(total)))
+        return counts
+
+    def _emit(self, counts, peel, m):
+        k, ivs = peel
+        if k is None:
+            raise FalsifiedInvariantError(
+                "weight %s is not a prime descriptor of %s"
+                % (_element(self.snake.n, ((iv, 1) for iv in ivs)), self.snake))
+        counts[k] = counts.get(k, 0) + m
+
+    def _compile_ledger(self):
+        s = self.snake
+        if s.r == 1:
+            self.p1 = self._peel(s.iv(1))
+            return SnakeContext._rank1
+        if s.r == 2:
+            a, b = s.iv(1), s.iv(2)
+            self.pab, self.pa, self.pb = self._peel(a, b), self._peel(a), self._peel(b)
+            self.ia, self.ib = self.pos[a], self.pos[b]
+            self.crosses = [(self.pos[iv], self._peel(iv))
+                            for iv in (Interval(a.i, b.j), Interval(b.i, a.j))
+                            if iv in self.gen_pos]
+            return SnakeContext._rank2
+        if self.eps0 == 1:
+            return SnakeContext._mirror
+        g1, g2, g3, g4, g22, g23 = self.head
+        tail_gens = generator_intervals(s.subsnake(2, s.r))
+        self.nontail = [k for k, iv in enumerate(self.coords) if iv not in tail_gens]
+        self.i1, self.i3, self.i22 = self.pos[g1], self.pos[g3], self.pos[g22]
+        self.i4 = self.gen_pos.get(g4)
+        self.i23 = self.gen_pos.get(g23)
+        self.i2 = None if g2 in tail_gens else self.gen_pos.get(g2)
+        self.p4 = self._peel(g4)
+        self.p3_22, self.p3 = self._peel(g3, g22), self._peel(g3)
+        self.p1_23, self.p23 = self._peel(g1, g23), self._peel(g23)
+        self.p1 = self._peel(g1)
+        return SnakeContext._head
+
+    def _rank1(self, v, counts):
+        self._emit(counts, self.p1, sum(v))
+
+    def _rank2(self, v, counts):
+        e11, e22 = v[self.ia], v[self.ib]
+        pairs = min(e11, e22)
+        for peel, m in ((self.pab, pairs), (self.pa, e11 - pairs), (self.pb, e22 - pairs)):
+            if m:
+                self._emit(counts, peel, m)
+        for k, peel in self.crosses:
+            if v[k]:
+                self._emit(counts, peel, v[k])
+
+    def _mirror(self, v, counts):
+        self.link("mirror").delegate(v, counts)
+
+    def _head(self, v, counts):
+        """The main ledger; assumes r >= 3 and first alternation bit 0.
+
+        Each pass peels one case with its whole multiplicity.  While a run of
+        the same peel lasts, every exponent it lowers stays positive, so the
+        support, and with it every earlier case, is unchanged.
+        """
+        i1, i3, i4, i22, i23 = self.i1, self.i3, self.i4, self.i22, self.i23
+        while any(v):
+            # everything lives over the tail
+            if not any(v[k] for k in self.nontail):
+                self.link("tail").delegate(v, counts)
+                return
+            # anti-connected extremal generator splits off freely
+            if i4 is not None and v[i4]:
+                self._emit(counts, self.p4, v[i4])
+                v[i4] = 0
+                continue
+            # the long head generator: paired with the second interval while
+            # both last, then alone
+            if v[i3]:
+                if v[i22]:
+                    m = min(v[i3], v[i22])
+                    self._emit(counts, self.p3_22, m)
+                    v[i22] -= m
+                else:
+                    m = v[i3]
+                    self._emit(counts, self.p3, m)
+                v[i3] -= m
+                continue
+            # the deep cross generator: paired with the head interval while
+            # both last, then alone
+            if i23 is not None and v[i23]:
+                if v[i1]:
+                    m = min(v[i23], v[i1])
+                    self._emit(counts, self.p1_23, m)
+                    v[i1] -= m
+                else:
+                    m = v[i23]
+                    self._emit(counts, self.p23, m)
+                v[i23] -= m
+                continue
+            # extra copies of the head interval
+            if v[i1] > v[i22]:
+                self._emit(counts, self.p1, v[i1] - v[i22])
+                v[i1] = v[i22]
+                continue
+            if self.i2 is not None and v[self.i2]:
+                self._slanted_prefix(v, counts)
+                continue
+            self._prefix_windows(v, counts)
+            return
+
+    def _slanted_prefix(self, v, counts):
+        """Peel the slanted prefix through the extended snake ŝ of length r-1."""
+        link = self.link("shat")
+        what = list(v)
+        what[self.i1] = what[self.i22] = 0
+        special = [(j, m) for j, m in sorted(link.solve(what).items()) if link.has_head[j]]
+        if not special:
+            raise FalsifiedInvariantError(
+                "no prefix-bearing factor for %s over %s"
+                % (link.child_element(what), link.ctx.snake))
+        for j, m in special:
+            k = link.lift_into(counts, j, m)
+            for c, e in self.exps[k]:
+                v[c] -= e * m
+
+    def _prefix_windows(self, v, counts):
+        """Final case: push everything through the tail and re-read the
+        factors that carry the second interval as prefix windows of s."""
+        a1, c = v[self.i1], v[self.i22]
+        if c == 0:
+            raise FalsifiedInvariantError(
+                "ledger exhausted for %s over %s" % (self.element(v), self.snake))
+        wtil = list(v)
+        wtil[self.i1] = 0
+        link = self.link("tail")
+        orders, with_g1 = self._prefix_table(link)
+        special, rest = [], []
+        for j, m in sorted(link.solve(wtil).items()):
+            (special if link.has_head[j] else rest).append((j, m))
+        found = sum(m for _, m in special)
+        if found != c:
+            raise FalsifiedInvariantError(
+                "expected %d prefix-window factors for %s over %s, found %d"
+                % (c, self.element(v), self.snake, found))
+        annotated = []
+        for j, m in special:
+            order = orders[j]
+            if order is None:
+                raise FalsifiedInvariantError(
+                    "factor %s of %s is not a prefix window of %s"
+                    % (link.ctx.alphabet[j].weight, self.element(wtil), self.snake))
+            annotated.append((order, j, m))
+        # the first a1 windows in compatibility order absorb the head interval
+        annotated.sort()
+        for _, j, m in annotated:
+            k = min(a1, m)
+            a1 -= k
+            if k:
+                self._emit(counts, with_g1[j], k)
+            if m - k:
+                link.lift_into(counts, j, m - k)
+        for j, m in rest:
+            link.lift_into(counts, j, m)
+
+    def _prefix_table(self, tail: "_Link"):
+        """Per tail descriptor: its compatibility order as a prefix window of
+        s (None when it is none), and the peel of its product with g1.
+        Compiled on first use."""
+        if self._windows is None:
+            s = self.snake
+            table = {}
+            for l in range(2, s.r + 1):
+                for e2 in (0, 1):
+                    if e2 == 1 and l > s.r - 2:
+                        continue
+                    if not window_admissible(s, 0, e2, 0, l):
+                        continue
+                    table[window_snake(s, 0, e2, 0, l).weight] = (l, e2)
+            # compatibility ordering: even-parity windows ascending, then
+            # odd-parity windows descending
+            orders = [None if le is None else
+                      (0, 2 * le[0] + le[1]) if (le[0] + le[1]) % 2 == 0
+                      else (1, -(2 * le[0] + le[1]))
+                      for le in (table.get(d.weight) for d in tail.ctx.alphabet)]
+            g1 = s.iv(1)
+            with_g1 = [self._peel(g1, *(iv for iv, e in pairs for _ in range(e)))
+                       for pairs in tail.lifted]
+            self._windows = orders, with_g1
+        return self._windows
+
+
+def _head_generators(s: Snake, e1: int) -> tuple[Interval, ...]:
+    """g1, g2, g3, g4, g22 and g23 of the ledger, for first alternation bit
+    e1 (the ledger itself only runs at e1 = 0)."""
+    iv = s.iv
+    return (iv(1),
+            Interval(iv(1 + e1).i, iv(2 - e1).j),
+            Interval(iv(1 + 2 * e1).i, iv(3 - 2 * e1).j),
+            Interval(iv(2 - e1).i, iv(1 + e1).j),
+            iv(2),
+            Interval(iv(2 + e1).i, iv(3 - e1).j))
+
+
+class _Link:
+    """A context that a parent context hands part of an element to, with the
+    maps between their indices.  The mirror link reflects intervals."""
+
+    def __init__(self, parent: SnakeContext, ctx: SnakeContext, reflect: bool):
+        self.ctx = ctx
+        self.reflect = reflect
+        self.parent_snake = parent.snake
+        self.parent_coords = parent.coords
+        self.cmap = [ctx.gen_pos.get(self.image(iv)) for iv in parent.coords]
+        self.lifted = [[(self.image(iv), e) for iv, e in d.weight.exps] for d in ctx.alphabet]
+        self.lift = [parent.find(pairs) for pairs in self.lifted]
+        # whether a descriptor carries the first interval of the child: g2
+        # for ŝ, g22 for the tail
+        head = ctx.snake.iv(1)
+        self.has_head = [d.weight.exponent(head) >= 1 for d in ctx.alphabet]
+
+    def image(self, iv: Interval) -> Interval:
+        return iv.reflect() if self.reflect else iv
+
+    def child_element(self, v) -> MonoidElement:
+        return _element(self.ctx.snake.n,
+                        ((self.image(iv), e) for iv, e in zip(self.parent_coords, v)))
+
+    def solve(self, v: list[int]) -> dict[int, int]:
+        cv = [0] * len(self.ctx.coords)
+        for k, e in enumerate(v):
+            if e:
+                c = self.cmap[k]
+                if c is None:
+                    raise PreconditionError(
+                        "element %s is outside the submonoid of %s"
+                        % (self.child_element(v), self.ctx.snake))
+                cv[c] = e
+        return self.ctx.solve(cv)
+
+    def delegate(self, v: list[int], counts) -> None:
+        """Factor v over the child and lift every factor to the parent."""
+        for j, m in self.solve(v).items():
+            self.lift_into(counts, j, m)
+
+    def lift_into(self, counts, j: int, m: int) -> int:
+        k = self.lift[j]
+        if k is None:
+            raise FalsifiedInvariantError(
+                "weight %s is not a prime descriptor of %s"
+                % (_element(self.ctx.snake.n, self.lifted[j]), self.parent_snake))
+        counts[k] = counts.get(k, 0) + m
+        return k
+
+
 @dataclass(frozen=True)
 class Profile:
     a1: int
@@ -36,19 +406,10 @@ class Profile:
     rest: MonoidElement
 
 
-def _profile_generators(s: Snake) -> tuple[Interval, Interval, Interval, Interval]:
-    e1 = epsilon_sequence(s)[0]
-    iv = s.iv
-    return (iv(1),
-            Interval(iv(1 + e1).i, iv(2 - e1).j),
-            Interval(iv(1 + 2 * e1).i, iv(3 - 2 * e1).j),
-            Interval(iv(2 - e1).i, iv(1 + e1).j))
-
-
 def extract_profile(w: MonoidElement, s: Snake) -> Profile:
     """Split off the exponents of the four head generators; any generator that
     also belongs to the tail alphabet counts toward the remainder instead."""
-    require_prime(s)
+    ctx = snake_context(s)
     if s.r < 3:
         raise PreconditionError("profiles need length >= 3")
     if not submonoid_member(w, s):
@@ -56,10 +417,9 @@ def extract_profile(w: MonoidElement, s: Snake) -> Profile:
     tail_gens = generator_intervals(s.subsnake(2, s.r))
     if all(iv in tail_gens for iv in w.support):
         raise PreconditionError("element %s already lives over the tail of %s" % (w, s))
-    gs = _profile_generators(s)
     exps = []
     rest = w
-    for g in gs:
+    for g in ctx.head[:4]:
         if g in tail_gens or is_trivial(g, s.n):
             exps.append(0)
             continue
@@ -75,197 +435,45 @@ def extract_profile(w: MonoidElement, s: Snake) -> Profile:
 
 @dataclass(frozen=True)
 class Factorization:
-    factors: tuple[PrimeDescriptor, ...]
+    """Distinct descriptors with their multiplicities, in canonical order:
+    falling height, then weight."""
+
+    pairs: tuple[tuple[PrimeDescriptor, int], ...]
+
+    @property
+    def factors(self) -> tuple[PrimeDescriptor, ...]:
+        return tuple(d for d, m in self.pairs for _ in range(m))
 
     @property
     def weight(self) -> MonoidElement:
-        if not self.factors:
+        if not self.pairs:
             raise PreconditionError("empty factorization has no intrinsic rank")
-        w = MonoidElement.one(self.factors[0].weight.n)
-        for d in self.factors:
-            w = w * d.weight
-        return w
+        acc: dict[Interval, int] = {}
+        for d, m in self.pairs:
+            for iv, e in d.weight.exps:
+                acc[iv] = acc.get(iv, 0) + e * m
+        return MonoidElement(self.pairs[0][0].weight.n, tuple(sorted(acc.items())))
 
     def weight_multiset(self) -> tuple[MonoidElement, ...]:
-        return tuple(sorted((d.weight for d in self.factors),
-                            key=lambda x: x.exps))
+        return tuple(d.weight for d, m in sorted(self.pairs, key=lambda p: p[0].weight.exps)
+                     for _ in range(m))
 
     def __len__(self):
-        return len(self.factors)
+        return sum(m for _, m in self.pairs)
 
 
-def _sorted_factors(ds):
-    return tuple(sorted(ds, key=lambda d: (-d.weight.ht, d.weight.exps)))
-
-
-def _lift(weights, s):
-    return [lookup_descriptor(w, s) for w in weights]
-
-
-@lru_cache(maxsize=None)
 def factor(w: MonoidElement, s: Snake) -> Factorization:
     """The canonical prime factorization of w over s."""
-    require_prime(s)
-    if not submonoid_member(w, s):
-        raise PreconditionError("element %s is outside the submonoid of %s" % (w, s))
-    factors = _factor(w, s)
-    total = MonoidElement.one(s.n)
-    for d in factors:
-        total = total * d.weight
-    if total != w:
-        raise FalsifiedInvariantError(
-            "weight recovery failed for %s over %s: got %s" % (w, s, total))
-    return Factorization(_sorted_factors(factors))
-
-
-def _gen(iv, n):
-    return MonoidElement.generator(iv, n)
-
-
-def _factor(w: MonoidElement, s: Snake) -> list[PrimeDescriptor]:
-    if w.is_one:
-        return []
-    n = s.n
-    if s.r == 1:
-        return [lookup_descriptor(_gen(s.iv(1), n), s)] * w.ht
-    if s.r == 2:
-        return _factor_rank2(w, s)
-    if epsilon_sequence(s)[0] == 1:
-        mirrored = factor(w.reflect(), s.reflect())
-        return _lift([d.weight.reflect() for d in mirrored.factors], s)
-    return _factor_head(w, s)
-
-
-def _factor_rank2(w, s):
-    n = s.n
-    a, b = s.iv(1), s.iv(2)
-    cross1, cross2 = Interval(a.i, b.j), Interval(b.i, a.j)
-    e11, e22 = w.exponent(a), w.exponent(b)
-    pairs = min(e11, e22)
-    out = []
-    if pairs:
-        out += [lookup_descriptor(_gen(a, n) * _gen(b, n), s)] * pairs
-    out += [lookup_descriptor(_gen(a, n), s)] * (e11 - pairs)
-    out += [lookup_descriptor(_gen(b, n), s)] * (e22 - pairs)
-    for cross in (cross1, cross2):
-        e = 0 if is_trivial(cross, n) else w.exponent(cross)
-        if e:
-            out += [lookup_descriptor(_gen(cross, n), s)] * e
-    return out
-
-
-def _factor_head(w, s):
-    """The main ledger; assumes r >= 3 and first alternation bit 0."""
-    n = s.n
-    tail = s.subsnake(2, s.r)
-    tail_gens = generator_intervals(tail)
-    if all(iv in tail_gens for iv in w.support):
-        return _lift([d.weight for d in factor(w, tail).factors], s)
-
-    iv = s.iv
-    g1 = iv(1)
-    g2 = Interval(iv(1).i, iv(2).j)
-    g3 = Interval(iv(1).i, iv(3).j)
-    g4 = Interval(iv(2).i, iv(1).j)
-    g22 = iv(2)
-    g23 = Interval(iv(2).i, iv(3).j)
-    w1, w2, w3 = _gen(g1, n), _gen(g2, n), _gen(g3, n)
-    w22, w23 = _gen(g22, n), _gen(g23, n)
-
-    # anti-connected extremal generator splits off freely
-    if not is_trivial(g4, n):
-        b = w.exponent(g4)
-        if b:
-            d = lookup_descriptor(_gen(g4, n), s)
-            return [d] * b + _factor(w.quotient(_gen(g4, n).pow(b)), s)
-
-    # the long head generator: alone, or paired with the second interval
-    q = w.quotient(w3)
-    if q is not None:
-        if q.quotient(w22) is not None:
-            return [lookup_descriptor(w3 * w22, s)] + _factor(w.quotient(w3 * w22), s)
-        return [lookup_descriptor(w3, s)] + _factor(q, s)
-
-    # the deep cross generator: paired with the head interval when present
-    if not is_trivial(g23, n):
-        q = w.quotient(w23)
-        if q is not None:
-            if w.exponent(g1) >= 1:
-                return [lookup_descriptor(w1 * w23, s)] + _factor(w.quotient(w1 * w23), s)
-            return [lookup_descriptor(w23, s)] + _factor(q, s)
-
-    a1 = w.exponent(g1)
-    a2 = 0 if g2 in tail_gens else w.exponent(g2)
-    c = w.exponent(g22)
-
-    if a1 > c:
-        d = lookup_descriptor(w1, s)
-        return [d] * (a1 - c) + _factor(w.quotient(w1.pow(a1 - c)), s)
-
-    if a2 > 0:
-        # peel the slanted prefix through the extended snake of length r-1
-        shat = Snake(n, (g2,) + s.intervals[2:])
-        what = w.quotient(w1.pow(a1) * w22.pow(c) * w2.pow(a2)) * w2.pow(a2)
-        inner = factor(what, shat)
-        special = [d for d in inner.factors if d.weight.exponent(g2) >= 1]
-        if not special:
-            raise FalsifiedInvariantError(
-                "no prefix-bearing factor for %s over %s" % (what, shat))
-        emitted = MonoidElement.one(n)
-        for d in special:
-            emitted = emitted * d.weight
-        out = _lift([d.weight for d in special], s)
-        return out + _factor(w.quotient(emitted), s)
-
-    # final case: push everything through the tail and re-read the factors
-    # that carry the second interval as prefix windows of s
-    if c == 0:
-        raise FalsifiedInvariantError("ledger exhausted for %s over %s" % (w, s))
-    wtil = w.quotient(w1.pow(a1))
-    inner = factor(wtil, tail)
-    table = {}
-    for l in range(2, s.r + 1):
-        for e2 in (0, 1):
-            if e2 == 1 and l > s.r - 2:
-                continue
-            if not window_admissible(s, 0, e2, 0, l):
-                continue
-            win = window_snake(s, 0, e2, 0, l)
-            table[win.weight] = (l, e2)
-    special, rest = [], []
-    for d in inner.factors:
-        (special if d.weight.exponent(g22) >= 1 else rest).append(d)
-    if len(special) != c:
-        raise FalsifiedInvariantError(
-            "expected %d prefix-window factors for %s over %s, found %d"
-            % (c, w, s, len(special)))
-    annotated = []
-    for d in special:
-        le = table.get(d.weight)
-        if le is None:
-            raise FalsifiedInvariantError(
-                "factor %s of %s is not a prefix window of %s" % (d.weight, wtil, s))
-        annotated.append((le, d))
-    # compatibility ordering: even-parity windows ascending, then odd-parity
-    # windows descending
-    annotated.sort(key=lambda item: (
-        (0, 2 * item[0][0] + item[0][1]) if (item[0][0] + item[0][1]) % 2 == 0
-        else (1, -(2 * item[0][0] + item[0][1]))))
-    out = []
-    for k, (_, d) in enumerate(annotated):
-        if k < a1:
-            out.append(lookup_descriptor(w1 * d.weight, s))
-        else:
-            out.append(lookup_descriptor(d.weight, s))
-    out += _lift([d.weight for d in rest], s)
-    return out
+    ctx = snake_context(s)
+    counts = ctx.solve(ctx.vector(w))
+    return Factorization(tuple((ctx.alphabet[k], counts[k]) for k in sorted(counts)))
 
 
 def compatible_product(f1: Factorization, f2: Factorization, s: Snake) -> bool:
     """Whether the two factorizations stay intact under multiplication."""
-    if not f1.factors:
+    if not f1.pairs:
         return True
-    if not f2.factors:
+    if not f2.pairs:
         return True
     combined = factor(f1.weight * f2.weight, s)
     merged = tuple(sorted(f1.weight_multiset() + f2.weight_multiset(),

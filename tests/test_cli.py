@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from snakealg import cli
+from snakealg import MonoidElement, cli, parse_monoid_element
 
 S2 = "[(0,2),(-1,1)] @ n=3"
 SSTAR = "[(0,6),(-1,4),(2,5),(1,3),(3,4)] @ n=6"
@@ -59,6 +59,37 @@ class TestFactor:
         code, doc = run(capsys, "factor", "--snake", SSTAR, "--omega", "w{0,3}")
         assert code == 3
         assert doc["error"] == "precondition"
+
+    def test_tall_power(self, capsys):
+        code, doc = run(capsys, "factor", "--snake", SSTAR, "--omega", "w{0,5}^2000")
+        assert code == 0
+        assert doc["count"] == len(doc["factors"]) == 2000
+        product = MonoidElement.one(6)
+        for d in doc["factors"]:
+            product = product * parse_monoid_element(d["weight"], 6)
+        assert product == parse_monoid_element("w{0,5}^2000", 6)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("factor", "--snake", SSTAR),
+        ("bogus", SSTAR),
+        (),
+    ], ids=["missing-omega", "unknown-verb", "no-verb"])
+    def test_parse_error_document(self, capsys, argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["error"] == "parse"
+        assert isinstance(doc["message"], str)
+
+    def test_help_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: snakealg")
 
 
 class TestExchange:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import snakealg as sa
@@ -80,6 +82,39 @@ class TestInvariants:
                 right = sa.factor(m.reflect(), sr).weight_multiset()
                 assert sorted(x.reflect().exps for x in left) == sorted(
                     x.exps for x in right)
+
+
+def stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestHeightIndependence:
+    def test_every_generator_at_multiplicity_97(self, sstar):
+        gens = sa.generator_intervals(sstar)
+        assert len(gens) == 12
+        m = MonoidElement.from_exponents(6, {iv: 97 for iv in gens})
+        assert m.ht == 1164
+        f = sa.factor(m, sstar)
+        assert f.weight == m
+        assert len(f) == len(f.factors)
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["sstar", "reflected"])
+    def test_height_10000_in_bounded_stack(self, sstar, mirrored):
+        s = sstar.reflect() if mirrored else sstar
+        gens = sorted(sa.generator_intervals(s))
+        m = MonoidElement.from_exponents(
+            6, {iv: 10000 // len(gens) + (k < 10000 % len(gens)) for k, iv in enumerate(gens)})
+        assert m.ht == 10000
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 100)
+        try:
+            f = sa.factor(m, s)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert f.weight == m
 
 
 class TestProfiles:
