@@ -56,8 +56,8 @@ def _element(n, pairs) -> MonoidElement:
 class SnakeContext:
     """Everything the ledger needs to know about one prime snake.
 
-    ``coords`` interns the generators (and any other interval of a
-    descriptor weight) to indices; an element is a list of exponents over
+    ``coords`` interns the generators, then any other interval of a
+    descriptor weight, to indices; an element is a list of exponents over
     them.  ``alphabet`` lists the descriptors in canonical order, so sorting
     descriptor indices sorts factors.
     """
@@ -68,12 +68,10 @@ class SnakeContext:
         gens = generator_intervals(s)
         self.alphabet = tuple(sorted(descriptor_index(s).values(),
                                      key=lambda d: (-d.weight.ht, d.weight.exps)))
-        coords = set(gens)
-        for d in self.alphabet:
-            coords.update(d.weight.support)
-        self.coords = tuple(sorted(coords))
+        extra = {iv for d in self.alphabet for iv in d.weight.support} - gens
+        self.coords = tuple(sorted(gens)) + tuple(sorted(extra))
+        self.ngens = len(gens)
         self.pos = {iv: k for k, iv in enumerate(self.coords)}
-        self.gen_pos = {iv: self.pos[iv] for iv in gens}
         self.exps = tuple(tuple((self.pos[iv], e) for iv, e in d.weight.exps)
                           for d in self.alphabet)
         self.index = {key: k for k, key in enumerate(self.exps)}
@@ -105,12 +103,17 @@ class SnakeContext:
             raise PreconditionError("rank mismatch: %d vs %d" % (w.n, self.snake.n))
         v = [0] * len(self.coords)
         for iv, e in w.exps:
-            k = self.gen_pos.get(iv)
+            k = self.gen_index(iv)
             if k is None:
                 raise PreconditionError(
                     "element %s is outside the submonoid of %s" % (w, self.snake))
             v[k] = e
         return v
+
+    def gen_index(self, iv: Interval) -> int | None:
+        """The index of a generator; None for any other interval."""
+        k = self.pos.get(iv)
+        return k if k is not None and k < self.ngens else None
 
     def element(self, v) -> MonoidElement:
         return _element(self.snake.n, zip(self.coords, v))
@@ -167,7 +170,7 @@ class SnakeContext:
             self.ia, self.ib = self.pos[a], self.pos[b]
             self.crosses = [(self.pos[iv], self._peel(iv))
                             for iv in (Interval(a.i, b.j), Interval(b.i, a.j))
-                            if iv in self.gen_pos]
+                            if self.gen_index(iv) is not None]
             return SnakeContext._rank2
         if self.eps0 == 1:
             return SnakeContext._mirror
@@ -175,9 +178,9 @@ class SnakeContext:
         tail_gens = generator_intervals(s.subsnake(2, s.r))
         self.nontail = [k for k, iv in enumerate(self.coords) if iv not in tail_gens]
         self.i1, self.i3, self.i22 = self.pos[g1], self.pos[g3], self.pos[g22]
-        self.i4 = self.gen_pos.get(g4)
-        self.i23 = self.gen_pos.get(g23)
-        self.i2 = None if g2 in tail_gens else self.gen_pos.get(g2)
+        self.i4 = self.gen_index(g4)
+        self.i23 = self.gen_index(g23)
+        self.i2 = None if g2 in tail_gens else self.gen_index(g2)
         self.p4 = self._peel(g4)
         self.p3_22, self.p3 = self._peel(g3, g22), self._peel(g3)
         self.p1_23, self.p23 = self._peel(g1, g23), self._peel(g23)
@@ -328,8 +331,8 @@ class SnakeContext:
                       else (1, -(2 * le[0] + le[1]))
                       for le in (table.get(d.weight) for d in tail.ctx.alphabet)]
             g1 = s.iv(1)
-            with_g1 = [self._peel(g1, *(iv for iv, e in pairs for _ in range(e)))
-                       for pairs in tail.lifted]
+            with_g1 = [self._peel(g1, *(iv for iv, e in tail.lifted(j) for _ in range(e)))
+                       for j in range(len(tail.ctx.alphabet))]
             self._windows = orders, with_g1
         return self._windows
 
@@ -355,9 +358,8 @@ class _Link:
         self.reflect = reflect
         self.parent_snake = parent.snake
         self.parent_coords = parent.coords
-        self.cmap = [ctx.gen_pos.get(self.image(iv)) for iv in parent.coords]
-        self.lifted = [[(self.image(iv), e) for iv, e in d.weight.exps] for d in ctx.alphabet]
-        self.lift = [parent.find(pairs) for pairs in self.lifted]
+        self.cmap = [ctx.gen_index(self.image(iv)) for iv in parent.coords]
+        self.lift = [parent.find(self.lifted(j)) for j in range(len(ctx.alphabet))]
         # whether a descriptor carries the first interval of the child: g2
         # for ŝ, g22 for the tail
         head = ctx.snake.iv(1)
@@ -365,6 +367,11 @@ class _Link:
 
     def image(self, iv: Interval) -> Interval:
         return iv.reflect() if self.reflect else iv
+
+    def lifted(self, j: int) -> list[tuple[Interval, int]]:
+        """The weight of child descriptor j as (interval, exponent) pairs of
+        the parent."""
+        return [(self.image(iv), e) for iv, e in self.ctx.alphabet[j].weight.exps]
 
     def child_element(self, v) -> MonoidElement:
         return _element(self.ctx.snake.n,
@@ -392,7 +399,7 @@ class _Link:
         if k is None:
             raise FalsifiedInvariantError(
                 "weight %s is not a prime descriptor of %s"
-                % (_element(self.ctx.snake.n, self.lifted[j]), self.parent_snake))
+                % (_element(self.ctx.snake.n, self.lifted(j)), self.parent_snake))
         counts[k] = counts.get(k, 0) + m
         return k
 
