@@ -117,6 +117,24 @@ class TestHeightIndependence:
         assert f.weight == m
 
 
+class TestBoundedCaches:
+    def test_distinct_elements_add_no_cache_entries(self, sstar):
+        def entries():
+            return sum(f.cache_info().currsize
+                       for name, mod in list(sys.modules.items())
+                       if name.startswith("snakealg") and mod is not None
+                       for f in vars(mod).values() if hasattr(f, "cache_info"))
+
+        for m in monomials(sstar, 2):
+            sa.factor(m, sstar)
+        before = entries()
+        gens = sorted(sa.generator_intervals(sstar))
+        for k in range(1, 200):
+            sa.factor(MonoidElement.from_exponents(
+                6, {gens[k % 12]: k, gens[5 * k % 12]: 3, gens[7 * k % 12]: 1}), sstar)
+        assert entries() == before
+
+
 class TestProfiles:
     def test_sstar_profile(self, sstar):
         p = sa.extract_profile(w("w{0,6}^2 * w{-1,4} * w{1,3}"), sstar)
