@@ -12,6 +12,22 @@ There is one SHA-256 digest per snake length r for each of two element sets:
 
 The inputs (snake texts and element texts) are stored next to the digests,
 so the digests do not move when the enumerator or the sampler changes.
+
+``golden/snakes.json`` pins the classification and what is built on it:
+
+- ``enumerate``: the output of ``enumerate_snakes``, in order, for the filter
+  sets {}, {stable}, {connected}, {prime}, {prime, boundary} and one spec
+  with an ``n_range`` and no translation normalization;
+- ``classify``: stable, connected, prime and the alternation bits of every
+  tuple of length <= 3 over a small alphabet (trivial, repeated and
+  non-alternating intervals included; inputs the enumerator never yields),
+  and of every one-interval extension of the stable ones up to length 5, at
+  each rank n = 1..6;
+- ``sample``: ``random_snake`` for seeds 0-49 on two specs;
+- ``descriptors``: ``pr_set``, ``fr_set``, ``exchange_triple`` and
+  ``cluster_export`` on a fixed sample of the r <= 5, span <= 9 corpus, whose
+  snake texts are stored next to the digest.
+
 Record again only when the canonical form itself is meant to change::
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -26,13 +42,32 @@ from pathlib import Path
 
 import snakealg as sa
 
-from conftest import monomials
+from conftest import boundary, monomials
 
 GOLDEN = Path(__file__).with_name("golden") / "factor.json"
+SNAKES_GOLDEN = Path(__file__).with_name("golden") / "snakes.json"
 MONOMIAL_HEIGHT = 5
 MONOMIAL_SAMPLE = {1: 2, 2: 6, 3: 8, 4: 6}  # snakes per length r
 TALL_SAMPLE = {3: 8, 4: 8, 5: 8}
 TALL_PER_SNAKE = 6
+ENUMERATE_SPECS = {
+    "all": dict(r_max=5, span=7),
+    "stable": dict(r_max=5, span=7, filters=["stable"]),
+    "connected": dict(r_max=5, span=7, filters=["connected"]),
+    "prime": dict(r_max=6, span=8, filters=["prime"]),
+    "prime-boundary": dict(r_max=6, span=8, filters=["boundary", "prime"]),
+    "n-range": dict(r_max=4, span=6, n_range=[2, 6], translation_normalized=False,
+                    filters=["connected"]),
+}
+CLASSIFY_SPAN = 5
+CLASSIFY_RANKS = range(1, 7)
+SAMPLE_SPECS = {
+    "prime": dict(r_max=5, span=9, filters=["prime"]),
+    "stable-n-range": dict(r_max=6, span=10, n_range=[3, 9], filters=["stable"]),
+}
+SAMPLE_SEEDS = range(50)
+DESCRIPTOR_SAMPLE = {1: 2, 2: 4, 3: 8, 4: 8, 5: 8}
+BOUNDARY_SAMPLE = {3: 4, 4: 4, 5: 4}
 
 
 def factorization_lines(s, elements):
@@ -83,6 +118,103 @@ def test_tall_digests():
     assert tall_digests(golden["tall"]["elements"]) == golden["tall"]["digests"]
 
 
+def corpus_spec(fields) -> sa.CorpusSpec:
+    fields = dict(fields)
+    fields["filters"] = frozenset(fields.get("filters", ()))
+    if "n_range" in fields:
+        fields["n_range"] = tuple(fields["n_range"])
+    return sa.CorpusSpec(**fields)
+
+
+def enumerate_digests(specs):
+    counts, digests = {}, {}
+    for name, fields in specs.items():
+        lines = ["%s\n" % s for s in sa.enumerate_snakes(corpus_spec(fields))]
+        counts[name], digests[name] = len(lines), digest(lines)
+    return counts, digests
+
+
+def _classification_line(s) -> str:
+    c = sa.classify(s)
+    return "%s|%d%d%d|%s\n" % (s, c.stable, c.connected, c.prime, c.eps)
+
+
+def classify_digests():
+    alphabet = [sa.Interval(i, j) for i in range(CLASSIFY_SPAN + 1)
+                for j in range(i, CLASSIFY_SPAN + 1)]
+    out = {}
+    for n in CLASSIFY_RANKS:
+        letters = [iv for iv in alphabet if iv.j - iv.i <= n + 1]
+        lines = []
+        layer = [()]
+        for r in range(1, 6):
+            grown = []
+            for ivs in layer:
+                for iv in letters:
+                    s = sa.Snake(n, ivs + (iv,))
+                    lines.append(_classification_line(s))
+                    if r < 3 or sa.classify(s).stable:
+                        grown.append(s.intervals)
+            layer = grown
+        out[str(n)] = digest(lines)
+    return out
+
+
+def sample_digests(specs):
+    out = {}
+    for name, fields in specs.items():
+        spec = corpus_spec(fields)
+        lines = []
+        for seed in SAMPLE_SEEDS:
+            try:
+                lines.append("%d:%s\n" % (seed, sa.random_snake(seed, spec)))
+            except sa.PreconditionError as exc:
+                lines.append("%d:error:%s\n" % (seed, exc))
+        out[name] = digest(lines)
+    return out
+
+
+def descriptor_lines(s):
+    yield "%s\n" % s
+    for kind, ds in (("pr", sa.pr_set(s)), ("fr", sa.fr_set(s))):
+        yield "%s=%s\n" % (kind, ";".join(
+            "%s:%s" % (d, d.weight) for d in ds))
+    if s.r >= 2:
+        t = sa.exchange_triple(s)
+        yield "exchange=%s|%s|%s|%s\n" % (
+            ";".join(str(c.omega) for c in t.left), t.term1.omega, t.term2.omega,
+            ";".join(str(c.omega) for c in t.term2_components))
+    if s.r >= 3 and boundary(s):
+        yield "cluster=%s\n" % json.dumps(sa.cluster_export(s), sort_keys=True)
+
+
+def descriptor_digest(texts) -> str:
+    lines = []
+    for text in texts:
+        lines.extend(descriptor_lines(sa.parse_snake(text)))
+    return digest(lines)
+
+
+def test_enumerate_digests():
+    golden = json.loads(SNAKES_GOLDEN.read_text())["enumerate"]
+    assert enumerate_digests(golden["specs"]) == (golden["counts"], golden["digests"])
+
+
+def test_classify_digests():
+    golden = json.loads(SNAKES_GOLDEN.read_text())["classify"]
+    assert classify_digests() == golden["digests"]
+
+
+def test_sample_digests():
+    golden = json.loads(SNAKES_GOLDEN.read_text())["sample"]
+    assert sample_digests(golden["specs"]) == golden["digests"]
+
+
+def test_descriptor_digest():
+    golden = json.loads(SNAKES_GOLDEN.read_text())["descriptors"]
+    assert descriptor_digest(golden["snakes"]) == golden["digest"]
+
+
 def _sample(corpus, r, count):
     """``count`` snakes of length r spread evenly over the corpus ranked by
     generator count and alternation sequence, so both orientations appear."""
@@ -117,6 +249,17 @@ def record() -> None:
         "tall": {"elements": tall, "digests": tall_digests(tall)},
     }
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    counts, digests = enumerate_digests(ENUMERATE_SPECS)
+    described = [str(s) for r, k in DESCRIPTOR_SAMPLE.items() for s in _sample(corpus, r, k)]
+    framed = [s for s in corpus if s.r >= 3 and boundary(s)]
+    described += [str(s) for r, k in BOUNDARY_SAMPLE.items() for s in _sample(framed, r, k)]
+    doc = {
+        "enumerate": {"specs": ENUMERATE_SPECS, "counts": counts, "digests": digests},
+        "classify": {"digests": classify_digests()},
+        "sample": {"specs": SAMPLE_SPECS, "digests": sample_digests(SAMPLE_SPECS)},
+        "descriptors": {"snakes": described, "digest": descriptor_digest(described)},
+    }
+    SNAKES_GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
