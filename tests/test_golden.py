@@ -18,11 +18,11 @@ so the digests do not move when the enumerator or the sampler changes.
 - ``enumerate``: the output of ``enumerate_snakes``, in order, for the filter
   sets {}, {stable}, {connected}, {prime}, {prime, boundary} and one spec
   with an ``n_range`` and no translation normalization;
-- ``classify``: stable, connected, prime and the alternation bits of every
-  tuple of length <= 3 over a small alphabet (trivial, repeated and
-  non-alternating intervals included; inputs the enumerator never yields),
-  and of every one-interval extension of the stable ones up to length 5, at
-  each rank n = 1..6;
+- ``classify``: stable, connected, prime and the alternation bits, and what
+  ``epsilon_sequence`` returns or raises, for every tuple of length <= 3 over
+  a small alphabet (trivial, repeated and non-alternating intervals
+  included; inputs the enumerator never yields) and every one-interval
+  extension of the stable ones up to length 5, at each rank n = 1..6;
 - ``sample``: ``random_snake`` for seeds 0-49 on two specs;
 - ``descriptors``: ``pr_set``, ``fr_set``, ``exchange_triple`` and
   ``cluster_export`` on a fixed sample of the r <= 5, span <= 9 corpus, whose
@@ -136,7 +136,11 @@ def enumerate_digests(specs):
 
 def _classification_line(s) -> str:
     c = sa.classify(s)
-    return "%s|%d%d%d|%s\n" % (s, c.stable, c.connected, c.prime, c.eps)
+    try:
+        eps = sa.epsilon_sequence(s)
+    except sa.NotAlternatingError as exc:
+        eps = exc
+    return "%s|%d%d%d|%s|%s\n" % (s, c.stable, c.connected, c.prime, c.eps, eps)
 
 
 def classify_digests():
