@@ -2,9 +2,8 @@
 sets, canonical factorization, exchange relations, monoid isomorphisms, and
 the height-function translation."""
 
-from .core import (Interval, MonoidElement, Snake, height_of, is_trivial,
-                   normalize_generator, parse_monoid_element, parse_snake,
-                   product, quotient)
+from .core import (Interval, MonoidElement, Snake, is_trivial,
+                   parse_monoid_element, parse_snake)
 from .errors import (FalsifiedInvariantError, NotAlternatingError, ParseError,
                      PreconditionError, SnakeAlgError)
 from .explorer import (CorpusSpec, enumerate_snakes, oracle_factorizations,
@@ -27,5 +26,3 @@ from .snakes import (SnakeClassification, check_enumeration, classify,
                      prime_factor_decomposition, require_prime)
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

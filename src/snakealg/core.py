@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import ParseError, PreconditionError
 
@@ -266,20 +266,3 @@ def parse_snake(text: str) -> Snake:
     except PreconditionError as exc:
         raise ParseError(str(exc)) from exc
 
-
-# Thin functional aliases matching the operation names of the interface.
-
-def normalize_generator(iv: Interval, n: int) -> MonoidElement:
-    return MonoidElement.generator(iv, n)
-
-
-def product(w1: MonoidElement, w2: MonoidElement) -> MonoidElement:
-    return w1 * w2
-
-
-def quotient(w: MonoidElement, w1: MonoidElement) -> MonoidElement | None:
-    return w.quotient(w1)
-
-
-def height_of(w: MonoidElement) -> int:
-    return w.ht

@@ -11,7 +11,7 @@ from typing import Iterator
 from .core import Interval, MonoidElement, Snake
 from .errors import PreconditionError
 from .primesets import descriptor_index
-from .snakes import classify
+from .snakes import Step, classify, extend, is_boundary, pair_rank
 
 SPAN_CAP = 12
 R_CAP = 7
@@ -35,47 +35,20 @@ class CorpusSpec:
             raise PreconditionError("unknown filters: %s" % sorted(bad))
 
 
-def _prefix_ok(ivs: tuple[Interval, ...], filters) -> bool:
-    """Rank-free necessary conditions on a prefix; used to prune the search."""
-    r = len(ivs)
-    if len(set(ivs)) != r:
-        return False
-    eps = []
-    for p in range(r - 1):
-        a, b = ivs[p], ivs[p + 1]
-        if b.i < a.i and b.j < a.j:
-            eps.append(0)
-        elif a.i < b.i and a.j < b.j:
-            eps.append(1)
-        else:
-            return False
-    for p in range(len(eps) - 1):
-        if eps[p] + eps[p + 1] != 1:
-            return False
-    for p in range(r - 2):
-        a = ivs[p]
-        for b in ivs[p + 2:]:
-            if not (a.i <= b.i < b.j <= a.j):
-                return False
-    if filters & {"connected", "prime", "boundary"}:
-        for p in range(r - 1):
-            e = eps[p]
-            lo, hi = ivs[p + 1 - e], ivs[p + e]
-            if not (lo.i < hi.i <= lo.j < hi.j):
-                return False
+def _admits(step: Step, filters) -> bool:
+    """Whether a search keeps the prefix that ``step`` judged: the rank-free
+    part of the filters, used to prune."""
     if filters & {"prime", "boundary"}:
-        for p in range(r - 2):
-            if ivs[p].i == ivs[p + 2].i or ivs[p].j == ivs[p + 2].j:
-                return False
-    return True
+        return step.connected and step.keeps_prime
+    if "connected" in filters:
+        return step.connected
+    return step.stable
 
 
 def _candidate_ranks(ivs: tuple[Interval, ...], spec: CorpusSpec) -> list[int]:
     n_min = max(iv.length for iv in ivs)
     if spec.filters & {"connected", "prime", "boundary"}:
-        for p in range(len(ivs) - 1):
-            a, b = ivs[p], ivs[p + 1]
-            n_min = max(n_min, max(a.j, b.j) - min(a.i, b.i) - 1)
+        n_min = max([n_min] + [pair_rank(a, b) for a, b in zip(ivs, ivs[1:])])
     if spec.n_range is not None:
         lo, hi = spec.n_range
         return [n for n in range(max(lo, n_min), hi + 1)]
@@ -92,36 +65,31 @@ def _candidate_ranks(ivs: tuple[Interval, ...], spec: CorpusSpec) -> list[int]:
 
 def _passes(s: Snake, filters) -> bool:
     c = classify(s)
-    if "stable" in filters and not c.stable:
-        return False
-    if "connected" in filters and not c.connected:
-        return False
-    if "prime" in filters and not c.prime:
-        return False
-    if "boundary" in filters:
-        if s.j_max - s.i_min != s.n + 1 or s.j_min != s.i_max:
-            return False
-    return c.stable
+    return (c.stable and ("connected" not in filters or c.connected)
+            and ("prime" not in filters or c.prime)
+            and ("boundary" not in filters or is_boundary(s)))
+
+
+def _alphabet(spec: CorpusSpec) -> list[Interval]:
+    return [Interval(i, j) for i in range(0, spec.span + 1)
+            for j in range(i + 1, spec.span + 1)]
 
 
 def enumerate_snakes(spec: CorpusSpec) -> Iterator[Snake]:
     """Every snake meeting the spec, translation-normalized, exactly once,
     in deterministic order."""
-    alphabet = [Interval(i, j)
-                for i in range(0, spec.span + 1)
-                for j in range(i + 1, spec.span + 1)]
+    alphabet = _alphabet(spec)
 
-    def walk(prefix: tuple[Interval, ...]) -> Iterator[tuple[Interval, ...]]:
-        if prefix:
-            yield prefix
+    def walk(prefix: tuple[Interval, ...], bit: int | None) -> Iterator[tuple[Interval, ...]]:
+        yield prefix
         if len(prefix) == spec.r_max:
             return
         for iv in alphabet:
-            cand = prefix + (iv,)
-            if _prefix_ok(cand, spec.filters):
-                yield from walk(cand)
+            step = extend(prefix, bit, iv)
+            if _admits(step, spec.filters):
+                yield from walk(prefix + (iv,), step.bit)
 
-    for ivs in walk(()):
+    for ivs in (ivs for iv in alphabet for ivs in walk((iv,), None)):
         if spec.translation_normalized and min(iv.i for iv in ivs) != 0:
             continue
         for n in _candidate_ranks(ivs, spec):
@@ -153,21 +121,18 @@ def oracle_factorizations(w: MonoidElement, s: Snake, cap: int = 4):
 def random_snake(seed: int, spec: CorpusSpec, budget: int = 20000) -> Snake:
     """Deterministic rejection sampler over the spec."""
     rng = random.Random(seed)
-    alphabet = [Interval(i, j)
-                for i in range(0, spec.span + 1)
-                for j in range(i + 1, spec.span + 1)]
+    alphabet = _alphabet(spec)
     for _ in range(budget):
         r = rng.randint(1, spec.r_max)
-        ivs: tuple[Interval, ...] = ()
-        ok = True
-        for _ in range(r):
-            extensions = [iv for iv in alphabet
-                          if _prefix_ok(ivs + (iv,), spec.filters)]
-            if not extensions:
-                ok = False
+        ivs, bit = (rng.choice(alphabet),), None
+        while len(ivs) < r:
+            steps = [(iv, step) for iv in alphabet
+                     if _admits(step := extend(ivs, bit, iv), spec.filters)]
+            if not steps:
                 break
-            ivs = ivs + (rng.choice(extensions),)
-        if not ok:
+            iv, step = rng.choice(steps)
+            ivs, bit = ivs + (iv,), step.bit
+        if len(ivs) < r:
             continue
         if spec.translation_normalized:
             shift = -min(iv.i for iv in ivs)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
-from .factorizer import Factorization, compatible_product, factor
+from .factorizer import compatible_product, factor
 from .snakes import epsilon_sequence, require_prime
 
 

@@ -17,7 +17,7 @@ from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
 from .isomorph import SnakeIso, build_iso, check_iso_conditions
 from .primesets import interval_set, pr_set, window_snake
-from .snakes import classify, epsilon_sequence, require_prime
+from .snakes import classify, epsilon_sequence, is_boundary, require_prime
 
 
 def n_of(s: Snake) -> int:
@@ -99,7 +99,7 @@ def require_boundary(s: Snake) -> None:
     """The translation back to a snake needs the extremal coincidences; the
     induced snake always has them, so the matching conditions force them on
     the source as well."""
-    if s.j_max - s.i_min != s.n + 1 or s.j_min != s.i_max:
+    if not is_boundary(s):
         raise PreconditionError(
             "snake %s does not have the boundary shape required here" % s)
 
@@ -127,7 +127,7 @@ def snake_of_xi(s: Snake) -> Snake:
     out = Snake(h.N, tuple(parts))
     if not classify(out).prime:
         raise FalsifiedInvariantError("induced snake %s of %s is not prime" % (out, s))
-    if out.j_min != out.i_max or out.j_max - out.i_min != h.N + 1:
+    if not is_boundary(out):
         raise FalsifiedInvariantError("induced snake %s misses the boundary shape" % out)
     if not check_iso_conditions(s, out):
         raise FalsifiedInvariantError(
@@ -164,6 +164,13 @@ def _pgen(h: HeightProfile, a_idx: int, b_idx: int) -> MonoidElement:
     return MonoidElement.generator(iv, h.N)
 
 
+def _bracket(p: tuple[int, ...], t: int, t2: int) -> tuple[int, int]:
+    """The first m with p_(m-1) < t <= p_m (p_0 = 0) and the last l with p_l <= t2."""
+    ks = range(1, len(p) + 1)
+    return (next(k for k in ks if (p[k - 2] if k >= 2 else 0) < t <= p[k - 1]),
+            max(k for k in ks if p[k - 1] <= t2))
+
+
 def omega_pair(h: HeightProfile, t: int, t2: int) -> MonoidElement:
     """The indexing element attached to a pair of height positions t < t2."""
     if not 1 <= t < t2 <= h.N:
@@ -171,8 +178,7 @@ def omega_pair(h: HeightProfile, t: int, t2: int) -> MonoidElement:
     eps = epsilon_sequence(h.snake)
     r = h.snake.r
     p = h.p_seq
-    m = next(k for k in range(1, r + 1) if (p[k - 2] if k >= 2 else 0) < t <= p[k - 1])
-    l = max(k for k in range(1, r + 1) if p[k - 1] <= t2)
+    m, l = _bracket(p, t, t2)
     if m > l or not p[l - 1] <= t2 or (l < r and not t2 < p[l]):
         raise FalsifiedInvariantError(
             "no bracketing positions for (%d,%d) in %s" % (t, t2, h.snake))
@@ -191,8 +197,7 @@ def window_image(s: Snake, t: int, t2: int) -> MonoidElement:
     h = height_profile(s)
     p = h.p_seq
     r = s.r
-    m = next(k for k in range(1, r + 1) if (p[k - 2] if k >= 2 else 0) < t <= p[k - 1])
-    l = max(k for k in range(1, r + 1) if p[k - 1] <= t2)
+    m, l = _bracket(p, t, t2)
     e = 0 if t2 == p[l - 1] else 1
     e2 = 0 if t == p[m - 1] else 1
     return window_snake(s, e, e2, r - l - 1, r - m + 1).weight

@@ -8,7 +8,8 @@ from functools import lru_cache
 
 from .core import Interval, MonoidElement, Snake, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
-from .snakes import classify, epsilon_sequence, require_prime
+from .snakes import (classify, epsilon_sequence, is_boundary, linked, pair_rank,
+                     require_prime)
 
 
 def _gen(iv, n):
@@ -38,7 +39,7 @@ def tilde_interval_set(s: Snake) -> frozenset[Interval]:
 def interval_set(s: Snake) -> frozenset[Interval]:
     tilde = tilde_interval_set(s)
     out = frozenset(iv for iv in tilde if not is_trivial(iv, s.n))
-    if s.j_max - s.i_min == s.n + 1 and s.j_min == s.i_max:
+    if is_boundary(s):
         expected = tilde - {Interval(s.i_max, s.j_min), Interval(s.i_min, s.j_max)}
         if out != expected:
             raise FalsifiedInvariantError(
@@ -71,8 +72,7 @@ def closure_check(s: Snake) -> bool:
     tilde = tilde_interval_set(s)
     for big in ivs:
         for small in ivs:
-            # connected pair with small strictly below big
-            if not (small.i < big.i <= small.j < big.j and big.j - small.i <= s.n + 1):
+            if not (linked(small, big) and pair_rank(small, big) <= s.n):
                 continue
             if Interval(big.i, small.j) not in tilde:
                 return False

@@ -5,36 +5,102 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import Interval, Snake, is_trivial
 from .errors import FalsifiedInvariantError, NotAlternatingError, PreconditionError
+
+
+def linked(lo: Interval, hi: Interval) -> bool:
+    """Pair connectivity without the rank bound: lo starts and ends strictly
+    before hi, and the two meet or overlap."""
+    return lo.i < hi.i <= lo.j < hi.j
+
+
+def pair_rank(a: Interval, b: Interval) -> int:
+    """The least rank n at which the adjacent pair a, b can be connected: its
+    union may have length at most n + 1."""
+    return max(a.j, b.j) - min(a.i, b.i) - 1
+
+
+def is_boundary(s: Snake) -> bool:
+    """The extremal coincidences j_max - i_min = n + 1 and j_min = i_max."""
+    return s.j_max - s.i_min == s.n + 1 and s.j_min == s.i_max
+
+
+class Step(NamedTuple):
+    """What one more interval does to the classification of a prefix."""
+
+    bit: int | None    # alternation bit of the new adjacent pair; None: it has none
+    alternates: bool   # the bit differs from the prefix's last bit
+    stable: bool       # alternates; new, and nested in each interval two or more back
+    connected: bool    # stable, and the new adjacent pair is linked
+    keeps_prime: bool  # stable, and the new distance-2 pair differs at both endpoints
+
+
+_NO_BIT = Step(None, False, False, False, False)
+_BROKEN = tuple(Step(bit, False, False, False, False) for bit in (0, 1))
+_UNNESTED = tuple(Step(bit, True, False, False, False) for bit in (0, 1))
+
+
+def extend(prefix: tuple[Interval, ...], last_bit: int | None, iv: Interval) -> Step:
+    """Classify ``prefix + (iv,)`` from a non-empty prefix and the prefix's last
+    alternation bit (None for a single interval), looking only at iv.
+
+    At each adjacent pair either both endpoints drop (bit 0) or both rise
+    (bit 1), and the bits alternate.  Given a stable prefix, nesting in the
+    intervals two and three back implies nesting in every earlier one, and
+    only the interval two back can equal iv.  The rank plays no part.
+    """
+    a = prefix[-1]
+    if iv.i < a.i and iv.j < a.j:
+        bit, lo, hi = 0, iv, a
+    elif a.i < iv.i and a.j < iv.j:
+        bit, lo, hi = 1, a, iv
+    else:
+        return _NO_BIT
+    if bit == last_bit:
+        return _BROKEN[bit]
+    keeps_prime = True
+    if len(prefix) >= 2:
+        b = prefix[-2]
+        if iv == b:
+            return _UNNESTED[bit]
+        for o in prefix[-3:-1]:
+            if not o.i <= iv.i < iv.j <= o.j:
+                return _UNNESTED[bit]
+        keeps_prime = iv.i != b.i and iv.j != b.j
+    return Step(bit, True, True, linked(lo, hi), keeps_prime)
+
+
+def _steps(s: Snake):
+    bit = None
+    for k in range(1, s.r):
+        step = extend(s.intervals[:k], bit, s.intervals[k])
+        bit = step.bit
+        yield step
+
+
+def _closed(bits: list[int]) -> tuple[int, ...]:
+    """The pair bits and the final bit that alternation forces; a single
+    interval gets bit 0 by convention."""
+    return tuple(bits) + (1 - bits[-1],) if bits else (0,)
 
 
 @lru_cache(maxsize=None)
 def epsilon_sequence(s: Snake) -> tuple[int, ...]:
     """The alternation bits, one per position.
 
-    At each adjacent pair either both endpoints drop (bit 0) or both rise
-    (bit 1); the final bit is forced by alternation.  A single interval gets
-    bit 0 by convention.
+    Bit p belongs to the pair at positions p, p + 1 (see ``extend``).
     """
-    if s.r == 1:
-        return (0,)
-    eps = []
-    for p in range(1, s.r):
-        a, b = s.iv(p), s.iv(p + 1)
-        if b.i < a.i and b.j < a.j:
-            eps.append(0)
-        elif a.i < b.i and a.j < b.j:
-            eps.append(1)
-        else:
-            raise NotAlternatingError(
-                "no alternation bit at position %d of %s" % (p, s))
-    for p in range(len(eps) - 1):
-        if eps[p] + eps[p + 1] != 1:
-            raise NotAlternatingError("alternation breaks at position %d of %s" % (p + 1, s))
-    eps.append(1 - eps[-1])
-    return tuple(eps)
+    steps = list(_steps(s))
+    for p, step in enumerate(steps, 1):
+        if step.bit is None:
+            raise NotAlternatingError("no alternation bit at position %d of %s" % (p, s))
+    for p, step in enumerate(steps[1:], 1):
+        if not step.alternates:
+            raise NotAlternatingError("alternation breaks at position %d of %s" % (p, s))
+    return _closed([step.bit for step in steps])
 
 
 @dataclass(frozen=True)
@@ -45,35 +111,24 @@ class SnakeClassification:
     eps: tuple[int, ...] | None
 
 
+_UNSTABLE = SnakeClassification(False, False, False, None)
+
+
 @lru_cache(maxsize=None)
 def classify(s: Snake) -> SnakeClassification:
-    n, r = s.n, s.r
+    n = s.n
     # degenerate members would be invisible in the monoid, so they are
     # rejected outright
     if any(is_trivial(iv, n) for iv in s.intervals):
-        return SnakeClassification(False, False, False, None)
-    if len(set(s.intervals)) != r:
-        return SnakeClassification(False, False, False, None)
-    try:
-        eps = epsilon_sequence(s)
-    except NotAlternatingError:
-        return SnakeClassification(False, False, False, None)
-    for p in range(1, r - 1):
-        for t in range(p + 2, r + 1):
-            a, b = s.iv(p), s.iv(t)
-            if not (a.i <= b.i < b.j <= a.j):
-                return SnakeClassification(False, False, False, None)
-    connected = True
-    for p in range(1, r):
-        e = eps[p - 1]
-        lo, hi = s.iv(p + 1 - e), s.iv(p + e)
-        if not (lo.i < hi.i <= lo.j < hi.j and hi.j - lo.i <= n + 1):
-            connected = False
-            break
-    prime = connected and all(
-        s.iv(t).i != s.iv(t + 2).i and s.iv(t).j != s.iv(t + 2).j
-        for t in range(1, r - 1))
-    return SnakeClassification(True, connected, prime, eps)
+        return _UNSTABLE
+    eps, connected, prime = [], True, True
+    for a, b, step in zip(s.intervals, s.intervals[1:], _steps(s)):
+        if not step.stable:
+            return _UNSTABLE
+        eps.append(step.bit)
+        connected = connected and step.connected and pair_rank(a, b) <= n
+        prime = prime and step.keeps_prime
+    return SnakeClassification(True, connected, connected and prime, _closed(eps))
 
 
 def is_stable(s: Snake) -> bool:
@@ -99,21 +154,17 @@ def _cut_qualifies(s: Snake, p: int) -> bool:
     """Whether the prefix ending at position p splits off as a prime factor."""
     eps = epsilon_sequence(s)
     e = eps[p - 1]
-    pair = Snake(s.n, (s.iv(p), s.iv(p + 1)))
-    if not classify(pair).connected:
+    lo, hi = s.iv(p + 1 - e), s.iv(p + e)
+    if not (linked(lo, hi) and pair_rank(lo, hi) <= s.n):
         return True
     iv = s.iv
-
-    def a(t, which):
-        return iv(t).i if which == "i" else iv(t).j
-
     if p - 1 >= 1 and p + 1 <= s.r:
-        for x, y in (("i", "j"), ("j", "i")):
-            if a(p - 1, x) == a(p + 1, x) and a(p + 1 - 2 * e, y) < a(p - 1 + 2 * e, y):
+        for x, y in ((0, 1), (1, 0)):  # endpoint indices: 0 is i, 1 is j
+            if iv(p - 1)[x] == iv(p + 1)[x] and iv(p + 1 - 2 * e)[y] < iv(p - 1 + 2 * e)[y]:
                 return True
     if p + 2 <= s.r:
-        for x, y in (("i", "j"), ("j", "i")):
-            if a(p, x) == a(p + 2, x) and a(p + 2 - 2 * e, y) < a(p + 2 * e, y):
+        for x, y in ((0, 1), (1, 0)):
+            if iv(p)[x] == iv(p + 2)[x] and iv(p + 2 - 2 * e)[y] < iv(p + 2 * e)[y]:
                 return True
     return False
 
@@ -126,11 +177,9 @@ def prime_factor_decomposition(s: Snake) -> list[Snake]:
     out = []
     rest = s
     while True:
-        cut = None
-        for p in range(1, rest.r):
-            if classify(rest.subsnake(1, p)).prime and _cut_qualifies(rest, p):
-                cut = p
-                break
+        cut = next((p for p in range(1, rest.r)
+                    if classify(rest.subsnake(1, p)).prime and _cut_qualifies(rest, p)),
+                   None)
         if cut is None:
             if not classify(rest).prime:
                 raise FalsifiedInvariantError(

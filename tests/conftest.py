@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import snakealg as sa
@@ -39,7 +41,4 @@ def monomials(s, max_ht):
     gens = sorted(sa.generator_intervals(s))
     for k in range(max_ht + 1):
         for combo in combinations_with_replacement(gens, k):
-            w = sa.MonoidElement.one(s.n)
-            for iv in combo:
-                w = w * sa.MonoidElement.generator(iv, s.n)
-            yield w
+            yield sa.MonoidElement.from_exponents(s.n, Counter(combo))

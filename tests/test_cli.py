@@ -75,7 +75,8 @@ class TestUsageErrors:
         ("factor", "--snake", SSTAR),
         ("bogus", SSTAR),
         (),
-    ], ids=["missing-omega", "unknown-verb", "no-verb"])
+        ("selftest", "--level", "desk"),
+    ], ids=["missing-omega", "unknown-verb", "no-verb", "selftest-level"])
     def test_parse_error_document(self, capsys, argv):
         code = cli.main(list(argv))
         captured = capsys.readouterr()
