@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 from .core import Interval, MonoidElement, Snake
@@ -89,7 +90,7 @@ def enumerate_snakes(spec: CorpusSpec) -> Iterator[Snake]:
             if _admits(step, spec.filters):
                 yield from walk(prefix + (iv,), step.bit)
 
-    for ivs in (ivs for iv in alphabet for ivs in walk((iv,), None)):
+    for ivs in chain.from_iterable(walk((iv,), None) for iv in alphabet):
         if spec.translation_normalized and min(iv.i for iv in ivs) != 0:
             continue
         for n in _candidate_ranks(ivs, spec):

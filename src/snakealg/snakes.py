@@ -33,7 +33,7 @@ class Step(NamedTuple):
 
     bit: int | None    # alternation bit of the new adjacent pair; None: it has none
     alternates: bool   # the bit differs from the prefix's last bit
-    stable: bool       # alternates; new, and nested in each interval two or more back
+    stable: bool       # alternates; differs from and nests in each interval two or more back
     connected: bool    # stable, and the new adjacent pair is linked
     keeps_prime: bool  # stable, and the new distance-2 pair differs at both endpoints
 
