@@ -22,7 +22,7 @@ from .primesets import (PrimeDescriptor, WindowSnake, closure_check,
                         submonoid_member, tilde_interval_set, window_admissible,
                         window_snake)
 from .snakes import (SnakeClassification, check_enumeration, classify,
-                     epsilon_sequence, is_connected, is_prime, is_stable,
-                     prime_factor_decomposition, require_prime)
+                     epsilon_sequence, prime_factor_decomposition,
+                     require_prime)
 
 __version__ = "0.1.0"

@@ -16,17 +16,12 @@ the support of an element, not on its height.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import Interval, MonoidElement, Snake, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
 from .primesets import (PrimeDescriptor, descriptor_index, generator_intervals,
                         submonoid_member, window_admissible, window_snake)
-from .snakes import require_prime
-
-# compiled snakes kept for reuse; a context also holds the contexts it hands
-# work to, each of a shorter snake or of the mirror
-CONTEXT_CACHE_SIZE = 1024
+from .snakes import per_snake, require_prime
 
 
 def canonical_order(w: MonoidElement) -> list[Interval]:
@@ -38,9 +33,10 @@ def canonical_order(w: MonoidElement) -> list[Interval]:
     return word
 
 
-@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+@per_snake
 def snake_context(s: Snake) -> "SnakeContext":
-    """The compiled context of a prime snake."""
+    """The compiled context of a prime snake.  It also holds the contexts it
+    hands work to, each of a shorter snake or of the mirror."""
     return SnakeContext(s)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
 from .factorizer import compatible_product, factor
-from .snakes import epsilon_sequence, require_prime
+from .snakes import both_ends_differ, epsilon_sequence, require_prime
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def exchange_triple(s: Snake) -> ExchangeTriple:
 
     first = w_c1.pow(1 - e1) * w_c2.pow(e1)
     second = w_c1.pow(e1) * w_c2.pow(1 - e1) * deep
-    if s.r >= 4 and (s.iv(1).i == s.iv(4).i or s.iv(1).j == s.iv(4).j):
+    if s.r >= 4 and not both_ends_differ(s.iv(1), s.iv(4)):
         components = (
             irred_class(first, s),
             irred_class(w_c1.pow(e1) * w_c2.pow(1 - e1)

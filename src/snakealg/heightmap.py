@@ -11,13 +11,13 @@ snake each raise with a witness if they fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
 from .isomorph import SnakeIso, build_iso, check_iso_conditions
 from .primesets import interval_set, pr_set, window_snake
-from .snakes import classify, epsilon_sequence, is_boundary, require_prime
+from .snakes import (both_ends_differ, classify, epsilon_sequence, is_boundary,
+                     per_snake, require_prime)
 
 
 def n_of(s: Snake) -> int:
@@ -27,9 +27,8 @@ def n_of(s: Snake) -> int:
     if s.r < 3:
         raise PreconditionError("height translation needs length >= 3")
     r = s.r
-    return r + sum(
-        1 for t in range(2, r - 1)
-        if s.iv(t - 1).i != s.iv(t + 2).i and s.iv(t - 1).j != s.iv(t + 2).j)
+    return r + sum(1 for t in range(2, r - 1)
+                   if both_ends_differ(s.iv(t - 1), s.iv(t + 2)))
 
 
 def p_sequence(s: Snake) -> tuple[int, ...]:
@@ -39,8 +38,7 @@ def p_sequence(s: Snake) -> tuple[int, ...]:
         raise PreconditionError("height translation needs length >= 3")
     p = [1, 2]
     for m in range(2, r - 1):
-        step = 2 if (s.iv(r - m + 2).i != s.iv(r - m - 1).i
-                     and s.iv(r - m + 2).j != s.iv(r - m - 1).j) else 1
+        step = 2 if both_ends_differ(s.iv(r - m + 2), s.iv(r - m - 1)) else 1
         p.append(p[-1] + step)
     p.append(p[-1] + 1)
     if p[-1] != n_of(s):
@@ -69,7 +67,7 @@ class HeightProfile:
         return (self.xi_at(t) + t) // 2
 
 
-@lru_cache(maxsize=None)
+@per_snake
 def height_profile(s: Snake) -> HeightProfile:
     N = n_of(s)
     p = p_sequence(s)
@@ -112,7 +110,7 @@ def interval_set_xi(h: HeightProfile) -> frozenset[Interval]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@per_snake
 def snake_of_xi(s: Snake) -> Snake:
     """The snake of rank N read off the height profile, position by position."""
     require_boundary(s)
@@ -164,8 +162,12 @@ def _pgen(h: HeightProfile, a_idx: int, b_idx: int) -> MonoidElement:
     return MonoidElement.generator(iv, h.N)
 
 
-def _bracket(p: tuple[int, ...], t: int, t2: int) -> tuple[int, int]:
-    """The first m with p_(m-1) < t <= p_m (p_0 = 0) and the last l with p_l <= t2."""
+def _bracket(h: HeightProfile, t: int, t2: int) -> tuple[int, int]:
+    """For height positions t < t2, the first m with p_(m-1) < t <= p_m
+    (p_0 = 0) and the last l with p_l <= t2."""
+    if not 1 <= t < t2 <= h.N:
+        raise PreconditionError("bad position pair (%d,%d)" % (t, t2))
+    p = h.p_seq
     ks = range(1, len(p) + 1)
     return (next(k for k in ks if (p[k - 2] if k >= 2 else 0) < t <= p[k - 1]),
             max(k for k in ks if p[k - 1] <= t2))
@@ -173,12 +175,10 @@ def _bracket(p: tuple[int, ...], t: int, t2: int) -> tuple[int, int]:
 
 def omega_pair(h: HeightProfile, t: int, t2: int) -> MonoidElement:
     """The indexing element attached to a pair of height positions t < t2."""
-    if not 1 <= t < t2 <= h.N:
-        raise PreconditionError("bad position pair (%d,%d)" % (t, t2))
+    m, l = _bracket(h, t, t2)
     eps = epsilon_sequence(h.snake)
     r = h.snake.r
     p = h.p_seq
-    m, l = _bracket(p, t, t2)
     if m > l or not p[l - 1] <= t2 or (l < r and not t2 < p[l]):
         raise FalsifiedInvariantError(
             "no bracketing positions for (%d,%d) in %s" % (t, t2, h.snake))
@@ -195,15 +195,15 @@ def omega_pair(h: HeightProfile, t: int, t2: int) -> MonoidElement:
 def window_image(s: Snake, t: int, t2: int) -> MonoidElement:
     """The window of s matched to the pair element at positions (t, t2)."""
     h = height_profile(s)
+    m, l = _bracket(h, t, t2)
     p = h.p_seq
     r = s.r
-    m, l = _bracket(p, t, t2)
     e = 0 if t2 == p[l - 1] else 1
     e2 = 0 if t == p[m - 1] else 1
     return window_snake(s, e, e2, r - l - 1, r - m + 1).weight
 
 
-@lru_cache(maxsize=None)
+@per_snake
 def pr_xi(s: Snake) -> frozenset[MonoidElement]:
     h = height_profile(s)
     out = set()
@@ -221,7 +221,7 @@ def pr_xi(s: Snake) -> frozenset[MonoidElement]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@per_snake
 def fr_xi(s: Snake) -> frozenset[MonoidElement]:
     h = height_profile(s)
     out = set()

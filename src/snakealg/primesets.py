@@ -4,19 +4,14 @@ distinguished descriptor sets used as the factorization alphabet."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import Interval, MonoidElement, Snake, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
-from .snakes import (classify, epsilon_sequence, is_boundary, linked, pair_rank,
-                     require_prime)
+from .snakes import (both_ends_differ, classify, epsilon_sequence, is_boundary,
+                     linked, pair_rank, per_snake, require_prime)
 
 
-def _gen(iv, n):
-    return MonoidElement.generator(iv, n)
-
-
-@lru_cache(maxsize=None)
+@per_snake
 def tilde_interval_set(s: Snake) -> frozenset[Interval]:
     """All [i_p, j_q] with q in the four-position window around p."""
     require_prime(s)
@@ -35,7 +30,7 @@ def tilde_interval_set(s: Snake) -> frozenset[Interval]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@per_snake
 def interval_set(s: Snake) -> frozenset[Interval]:
     tilde = tilde_interval_set(s)
     out = frozenset(iv for iv in tilde if not is_trivial(iv, s.n))
@@ -48,7 +43,7 @@ def interval_set(s: Snake) -> frozenset[Interval]:
     return out
 
 
-@lru_cache(maxsize=None)
+@per_snake
 def generator_intervals(s: Snake) -> frozenset[Interval]:
     """The generator alphabet of the submonoid attached to s, for any length."""
     require_prime(s)
@@ -160,29 +155,24 @@ class PrimeDescriptor:
         return "%s[%s]" % (self.kind, body)
 
 
-def _descriptor(kind, payload, weight):
-    return PrimeDescriptor(kind, payload, weight)
-
-
-@lru_cache(maxsize=None)
+@per_snake
 def pr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     require_prime(s)
     n = s.n
     out = []
     seen = set()
 
-    def add(kind, payload, weight):
-        if weight.is_one or weight in seen:
-            return
-        seen.add(weight)
-        out.append(_descriptor(kind, payload, weight))
+    def add(kind, payload, w):
+        if not (w.is_one or w in seen):
+            seen.add(w)
+            out.append(PrimeDescriptor(kind, payload, w))
 
     if s.r <= 2:
         for iv in s.intervals:
-            add("generator", iv, _gen(iv, n))
+            add("generator", iv, MonoidElement.generator(iv, n))
         return tuple(out)
     for iv in sorted(interval_set(s)):
-        add("generator", iv, _gen(iv, n))
+        add("generator", iv, MonoidElement.generator(iv, n))
     for p in range(-1, s.r - 1):
         for l in range(p + 2, s.r + 1):
             for e in (0, 1):
@@ -198,7 +188,7 @@ def pr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@per_snake
 def fr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     require_prime(s)
     n, r = s.n, s.r
@@ -206,19 +196,16 @@ def fr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     out = []
     seen = set()
 
+    def add(kind, payload, w):
+        if not (w.is_one or w in seen):
+            seen.add(w)
+            out.append(PrimeDescriptor(kind, payload, w))
+
     def add_pair(a, b):
-        w = _gen(a, n) * _gen(b, n)
-        if w.is_one or w in seen:
-            return
-        seen.add(w)
-        out.append(_descriptor("pair", (a, b), w))
+        add("pair", (a, b), MonoidElement.generator(a, n) * MonoidElement.generator(b, n))
 
     def add_single(a):
-        w = _gen(a, n)
-        if w.is_one or w in seen:
-            return
-        seen.add(w)
-        out.append(_descriptor("extremal", a, w))
+        add("extremal", a, MonoidElement.generator(a, n))
 
     if r == 1:
         return ()
@@ -237,7 +224,7 @@ def fr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
         add_pair(iv(t), Interval(iv(t + 1 - 2 * e).i, iv(t - 1 + 2 * e).j))
     add_pair(iv(r), Interval(iv(r - 2 + er).i, iv(r - 1 - er).j))
     for t in range(2, r - 1):
-        if iv(t - 1).i == iv(t + 2).i or iv(t - 1).j == iv(t + 2).j:
+        if not both_ends_differ(iv(t - 1), iv(t + 2)):
             continue
         e = eps[t - 1]
         add_pair(
@@ -246,7 +233,7 @@ def fr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@per_snake
 def descriptor_index(s: Snake) -> dict:
     """Weight to descriptor over the full alphabet; identity is the weight."""
     index = {}

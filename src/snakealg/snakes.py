@@ -4,11 +4,34 @@ greedy decomposition of a stable tuple into prime factors."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 from .core import Interval, Snake, is_trivial
 from .errors import FalsifiedInvariantError, NotAlternatingError, PreconditionError
+
+# snakes whose derived data (alternation bits, interval and descriptor sets,
+# height profile, factorizer context) are kept, least recently used first out
+SNAKE_MEMO_SIZE = 1024
+# classifications kept; classify sees every enumeration candidate and window
+CLASSIFY_CACHE_SIZE = 1 << 15
+
+
+@lru_cache(maxsize=SNAKE_MEMO_SIZE)
+def _memo(s: Snake) -> dict:
+    return {}
+
+
+def per_snake(fn):
+    """Keep ``fn(s)``, never None, in the memo of s; a call that raises keeps nothing."""
+    @wraps(fn)
+    def memoized(s: Snake):
+        slot = _memo(s)
+        value = slot.get(fn)
+        if value is None:
+            value = slot[fn] = fn(s)
+        return value
+    return memoized
 
 
 def linked(lo: Interval, hi: Interval) -> bool:
@@ -21,6 +44,11 @@ def pair_rank(a: Interval, b: Interval) -> int:
     """The least rank n at which the adjacent pair a, b can be connected: its
     union may have length at most n + 1."""
     return max(a.j, b.j) - min(a.i, b.i) - 1
+
+
+def both_ends_differ(a: Interval, b: Interval) -> bool:
+    """Neither the left nor the right endpoints of a and b coincide."""
+    return a.i != b.i and a.j != b.j
 
 
 def is_boundary(s: Snake) -> bool:
@@ -69,7 +97,7 @@ def extend(prefix: tuple[Interval, ...], last_bit: int | None, iv: Interval) -> 
         for o in prefix[-3:-1]:
             if not o.i <= iv.i < iv.j <= o.j:
                 return _UNNESTED[bit]
-        keeps_prime = iv.i != b.i and iv.j != b.j
+        keeps_prime = both_ends_differ(iv, b)
     return Step(bit, True, True, linked(lo, hi), keeps_prime)
 
 
@@ -87,7 +115,7 @@ def _closed(bits: list[int]) -> tuple[int, ...]:
     return tuple(bits) + (1 - bits[-1],) if bits else (0,)
 
 
-@lru_cache(maxsize=None)
+@per_snake
 def epsilon_sequence(s: Snake) -> tuple[int, ...]:
     """The alternation bits, one per position.
 
@@ -114,7 +142,7 @@ class SnakeClassification:
 _UNSTABLE = SnakeClassification(False, False, False, None)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASSIFY_CACHE_SIZE)
 def classify(s: Snake) -> SnakeClassification:
     n = s.n
     # degenerate members would be invisible in the monoid, so they are
@@ -129,18 +157,6 @@ def classify(s: Snake) -> SnakeClassification:
         connected = connected and step.connected and pair_rank(a, b) <= n
         prime = prime and step.keeps_prime
     return SnakeClassification(True, connected, connected and prime, _closed(eps))
-
-
-def is_stable(s: Snake) -> bool:
-    return classify(s).stable
-
-
-def is_connected(s: Snake) -> bool:
-    return classify(s).connected
-
-
-def is_prime(s: Snake) -> bool:
-    return classify(s).prime
 
 
 def require_prime(s: Snake) -> SnakeClassification:

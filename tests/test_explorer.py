@@ -40,8 +40,8 @@ class TestEnumeration:
         # candidate ranks and is only checked member-wise
         assert prime <= conn
         assert all(sa.classify(s).stable for s in stable)
-        assert all(sa.is_connected(s) for s in conn)
-        assert all(sa.is_prime(s) for s in prime)
+        assert all(sa.classify(s).connected for s in conn)
+        assert all(sa.classify(s).prime for s in prime)
 
     def test_boundary_filter(self):
         spec = sa.CorpusSpec(r_max=4, span=6,
@@ -65,7 +65,7 @@ class TestEnumeration:
         spec = sa.CorpusSpec(r_max=2, span=4, filters=frozenset({"prime"}))
         got = set(sa.enumerate_snakes(spec))
         plain = sa.CorpusSpec(r_max=2, span=4)
-        brute = {s for s in sa.enumerate_snakes(plain) if sa.is_prime(s)}
+        brute = {s for s in sa.enumerate_snakes(plain) if sa.classify(s).prime}
         assert got == brute
 
 
@@ -96,5 +96,5 @@ class TestRandomSnake:
         spec = sa.CorpusSpec(r_max=4, span=7, filters=frozenset({"prime"}))
         for seed in range(12):
             s = sa.random_snake(seed, spec)
-            assert sa.is_prime(s)
+            assert sa.classify(s).prime
             assert s.r <= 4 and s.j_max <= 7 and s.i_min == 0

@@ -3,7 +3,8 @@ import sys
 import pytest
 
 import snakealg as sa
-from snakealg import MonoidElement
+import snakealg.cli  # noqa: F401  (its caches are checked too)
+from snakealg import MonoidElement, snakes
 
 from conftest import monomials
 
@@ -117,13 +118,21 @@ class TestHeightIndependence:
         assert f.weight == m
 
 
+def library_caches():
+    """Every object with ``cache_info`` on a module attribute of the package."""
+    found = {}
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("snakealg") and mod is not None:
+            for f in vars(mod).values():
+                if hasattr(f, "cache_info"):
+                    found[id(f)] = f
+    return list(found.values())
+
+
 class TestBoundedCaches:
     def test_distinct_elements_add_no_cache_entries(self, sstar):
         def entries():
-            return sum(f.cache_info().currsize
-                       for name, mod in list(sys.modules.items())
-                       if name.startswith("snakealg") and mod is not None
-                       for f in vars(mod).values() if hasattr(f, "cache_info"))
+            return sum(f.cache_info().currsize for f in library_caches())
 
         for m in monomials(sstar, 2):
             sa.factor(m, sstar)
@@ -133,6 +142,28 @@ class TestBoundedCaches:
             sa.factor(MonoidElement.from_exponents(
                 6, {gens[k % 12]: k, gens[5 * k % 12]: 3, gens[7 * k % 12]: 1}), sstar)
         assert entries() == before
+
+    def test_every_cache_is_bounded(self):
+        caches = library_caches()
+        assert caches
+        for f in caches:
+            assert f.cache_info().maxsize is not None, f.__qualname__
+
+    def test_descriptor_sets_stay_within_memo(self, corpus):
+        assert len(corpus) > snakes.SNAKE_MEMO_SIZE
+        first = sa.pr_set(corpus[0])
+        for s in corpus:
+            sa.pr_set(s)
+        assert snakes._memo.cache_info().currsize <= snakes.SNAKE_MEMO_SIZE
+        again = sa.pr_set(corpus[0])
+        assert again == first and again is not first  # evicted, then recomputed
+
+    def test_enumeration_leaves_memo_alone(self):
+        before = snakes._memo.cache_info().currsize
+        count = sum(1 for _ in sa.enumerate_snakes(sa.CorpusSpec(r_max=6, span=9)))
+        assert count == 22939
+        assert snakes._memo.cache_info().currsize == before
+        assert snakes.classify.cache_info().currsize <= snakes.CLASSIFY_CACHE_SIZE
 
 
 class TestProfiles:

@@ -52,7 +52,7 @@ class TestSnakeOfXi:
 
     def test_boundary_gate(self):
         s = sa.parse_snake("[(0,4),(2,5),(1,3)] @ n=4")
-        assert sa.is_prime(s) and not boundary(s)
+        assert sa.classify(s).prime and not boundary(s)
         with pytest.raises(sa.PreconditionError):
             hm.snake_of_xi(s)
 
@@ -102,6 +102,9 @@ class TestPairElements:
         h = hm.height_profile(sstar)
         with pytest.raises(sa.PreconditionError):
             hm.omega_pair(h, 3, 3)
+        for t, t2 in ((0, 3), (2, 0), (3, 3), (1, 7)):
+            with pytest.raises(sa.PreconditionError):
+                hm.window_image(sstar, t, t2)
 
 
 class TestIndexSets:

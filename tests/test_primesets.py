@@ -83,7 +83,7 @@ class TestWindows:
                 continue
             for d in sa.pr_set(s):
                 if d.kind == "window":
-                    assert sa.is_prime(d.payload.snake)
+                    assert sa.classify(d.payload.snake).prime
 
     def test_out_of_range_side_terms_forbidden(self, sstar):
         r = sstar.r

@@ -43,7 +43,7 @@ class TestClassify:
 
     def test_stable_but_not_connected_exists(self):
         spec = sa.CorpusSpec(r_max=2, span=6, filters=frozenset({"stable"}))
-        found = [s for s in sa.enumerate_snakes(spec) if not sa.is_connected(s)]
+        found = [s for s in sa.enumerate_snakes(spec) if not sa.classify(s).connected]
         assert found
         assert all(sa.classify(s).stable for s in found)
 
@@ -81,13 +81,13 @@ class TestDecomposition:
             parts = sa.prime_factor_decomposition(s)
             glued = Snake(s.n, sum((f.intervals for f in parts), ()))
             assert glued == s
-            assert all(sa.is_prime(f) for f in parts)
+            assert all(sa.classify(f).prime for f in parts)
 
     def test_non_prime_splits(self):
         s = snake("[(0,4),(2,5),(0,3)] @ n=5")
         parts = sa.prime_factor_decomposition(s)
         assert len(parts) == 2
-        assert all(sa.is_prime(f) for f in parts)
+        assert all(sa.classify(f).prime for f in parts)
 
     def test_requires_stable(self):
         with pytest.raises(sa.PreconditionError):
@@ -104,7 +104,7 @@ class TestEnumeration:
     def test_equal_far_endpoints_allowed(self):
         # distance-3 right endpoints coincide; strictness there is weak
         s = snake("[(0,4),(2,5),(1,3),(3,4)] @ n=4")
-        assert sa.is_prime(s)
+        assert sa.classify(s).prime
         assert sa.check_enumeration(s)
 
     def test_requires_prime(self):
