@@ -16,9 +16,8 @@ from .heightmap import (HeightProfile, cluster_export, fr_xi, height_profile,
                         interval_set_xi, n_of, p_sequence, pr_bijection,
                         pr_xi, snake_of_xi, window_image)
 from .isomorph import SnakeIso, build_iso, check_iso_conditions, transport_check
-from .primesets import (PrimeDescriptor, WindowSnake, closure_check,
-                        descriptor_index, fr_set, generator_intervals,
-                        interval_set, lookup_descriptor, pr_set,
+from .primesets import (PrimeDescriptor, closure_check, descriptor_index,
+                        fr_set, generator_intervals, interval_set, pr_set,
                         submonoid_member, tilde_interval_set, window_admissible,
                         window_snake)
 from .snakes import (SnakeClassification, check_enumeration, classify,

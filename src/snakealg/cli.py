@@ -24,7 +24,7 @@ def _emit(doc) -> int:
 def _descriptor_doc(d: primesets.PrimeDescriptor) -> dict:
     return {
         "kind": d.kind,
-        "intervals": [[iv.i, iv.j] for iv in d.intervals()],
+        "intervals": [[iv.i, iv.j] for iv in d.intervals],
         "weight": str(d.weight),
     }
 
@@ -126,6 +126,8 @@ def _cmd_enumerate(args) -> int:
         n_range=(args.n_lo, args.n_hi) if args.n_lo is not None else None,
         filters=frozenset(args.filter or ()),
     )
+    if args.limit < 0:
+        raise ParseError("--limit must be >= 0, got %d" % args.limit)
     out = []
     for s in explorer.enumerate_snakes(spec):
         out.append(str(s))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ParseError, PreconditionError
 
@@ -67,6 +67,14 @@ class MonoidElement:
             items.append((iv, e))
         items.sort()
         return MonoidElement(n, tuple(items))
+
+    @staticmethod
+    def from_pairs(n: int, pairs: Iterable[tuple[Interval, int]]) -> "MonoidElement":
+        """The product of (interval, exponent) pairs; repeated intervals add up."""
+        acc: dict[Interval, int] = {}
+        for iv, e in pairs:
+            acc[iv] = acc.get(iv, 0) + e
+        return MonoidElement.from_exponents(n, acc)
 
     @staticmethod
     def one(n: int) -> "MonoidElement":
@@ -157,15 +165,14 @@ def parse_monoid_element(text: str, n: int) -> MonoidElement:
     text = text.strip()
     if text == "1":
         return MonoidElement.one(n)
-    exps: dict[Interval, int] = {}
+    pairs = []
     for chunk in text.split("*"):
         m = _GEN_RE.match(chunk.strip())
         if m is None:
             raise ParseError("bad generator %r" % chunk.strip())
-        iv = Interval(int(m.group(1)), int(m.group(2)))
-        exps[iv] = exps.get(iv, 0) + int(m.group(3) or 1)
+        pairs.append((Interval(int(m.group(1)), int(m.group(2))), int(m.group(3) or 1)))
     try:
-        return MonoidElement.from_exponents(n, exps)
+        return MonoidElement.from_pairs(n, pairs)
     except PreconditionError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -214,10 +221,7 @@ class Snake:
 
     @property
     def weight(self) -> MonoidElement:
-        exps: dict[Interval, int] = {}
-        for iv in self.intervals:
-            exps[iv] = exps.get(iv, 0) + 1
-        return MonoidElement.from_exponents(self.n, exps)
+        return MonoidElement.from_pairs(self.n, ((iv, 1) for iv in self.intervals))
 
     def reflect(self) -> "Snake":
         return Snake(self.n, tuple(iv.reflect() for iv in self.intervals))

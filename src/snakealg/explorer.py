@@ -27,10 +27,10 @@ class CorpusSpec:
     filters: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.span > SPAN_CAP or self.r_max > R_CAP:
+        if not (1 <= self.span <= SPAN_CAP and 1 <= self.r_max <= R_CAP):
             raise PreconditionError(
-                "corpus bounds r_max=%d span=%d exceed the hard cap"
-                % (self.r_max, self.span))
+                "corpus bounds r_max=%d span=%d outside 1..%d and 1..%d"
+                % (self.r_max, self.span, R_CAP, SPAN_CAP))
         bad = set(self.filters) - {"stable", "connected", "prime", "boundary"}
         if bad:
             raise PreconditionError("unknown filters: %s" % sorted(bad))

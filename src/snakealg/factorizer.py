@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .core import Interval, MonoidElement, Snake, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
 from .primesets import (PrimeDescriptor, descriptor_index, generator_intervals,
-                        submonoid_member, window_admissible, window_snake)
+                        submonoid_member, window_cuts, window_snake)
 from .snakes import per_snake, require_prime
 
 
@@ -38,15 +38,6 @@ def snake_context(s: Snake) -> "SnakeContext":
     """The compiled context of a prime snake.  It also holds the contexts it
     hands work to, each of a shorter snake or of the mirror."""
     return SnakeContext(s)
-
-
-def _element(n, pairs) -> MonoidElement:
-    """A monoid element from (interval, exponent) pairs, for messages."""
-    acc: dict[Interval, int] = {}
-    for iv, e in pairs:
-        if e:
-            acc[iv] = acc.get(iv, 0) + e
-    return MonoidElement.from_exponents(n, acc)
 
 
 class SnakeContext:
@@ -112,7 +103,7 @@ class SnakeContext:
         return k if k is not None and k < self.ngens else None
 
     def element(self, v) -> MonoidElement:
-        return _element(self.snake.n, zip(self.coords, v))
+        return MonoidElement.from_pairs(self.snake.n, zip(self.coords, v))
 
     def link(self, kind: str) -> "_Link":
         """The tail, mirror or ŝ context, compiled on first use."""
@@ -152,7 +143,8 @@ class SnakeContext:
         if k is None:
             raise FalsifiedInvariantError(
                 "weight %s is not a prime descriptor of %s"
-                % (_element(self.snake.n, ((iv, 1) for iv in ivs)), self.snake))
+                % (MonoidElement.from_pairs(self.snake.n, ((iv, 1) for iv in ivs)),
+                   self.snake))
         counts[k] = counts.get(k, 0) + m
 
     def _compile_ledger(self):
@@ -312,14 +304,8 @@ class SnakeContext:
         Compiled on first use."""
         if self._windows is None:
             s = self.snake
-            table = {}
-            for l in range(2, s.r + 1):
-                for e2 in (0, 1):
-                    if e2 == 1 and l > s.r - 2:
-                        continue
-                    if not window_admissible(s, 0, e2, 0, l):
-                        continue
-                    table[window_snake(s, 0, e2, 0, l).weight] = (l, e2)
+            table = {window_snake(s, 0, e2, 0, l).weight: (l, e2)
+                     for p, l, e, e2 in window_cuts(s) if p == 0 and e == 0}
             # compatibility ordering: even-parity windows ascending, then
             # odd-parity windows descending
             orders = [None if le is None else
@@ -370,8 +356,8 @@ class _Link:
         return [(self.image(iv), e) for iv, e in self.ctx.alphabet[j].weight.exps]
 
     def child_element(self, v) -> MonoidElement:
-        return _element(self.ctx.snake.n,
-                        ((self.image(iv), e) for iv, e in zip(self.parent_coords, v)))
+        return MonoidElement.from_pairs(
+            self.ctx.snake.n, ((self.image(iv), e) for iv, e in zip(self.parent_coords, v)))
 
     def solve(self, v: list[int]) -> dict[int, int]:
         cv = [0] * len(self.ctx.coords)
@@ -395,7 +381,8 @@ class _Link:
         if k is None:
             raise FalsifiedInvariantError(
                 "weight %s is not a prime descriptor of %s"
-                % (_element(self.ctx.snake.n, self.lifted(j)), self.parent_snake))
+                % (MonoidElement.from_pairs(self.ctx.snake.n, self.lifted(j)),
+                   self.parent_snake))
         counts[k] = counts.get(k, 0) + m
         return k
 
@@ -451,11 +438,9 @@ class Factorization:
     def weight(self) -> MonoidElement:
         if not self.pairs:
             raise PreconditionError("empty factorization has no intrinsic rank")
-        acc: dict[Interval, int] = {}
-        for d, m in self.pairs:
-            for iv, e in d.weight.exps:
-                acc[iv] = acc.get(iv, 0) + e * m
-        return MonoidElement(self.pairs[0][0].weight.n, tuple(sorted(acc.items())))
+        return MonoidElement.from_pairs(
+            self.pairs[0][0].weight.n,
+            ((iv, e * m) for d, m in self.pairs for iv, e in d.weight.exps))
 
     def weight_multiset(self) -> tuple[MonoidElement, ...]:
         return tuple(d.weight for d, m in sorted(self.pairs, key=lambda p: p[0].weight.exps)

@@ -140,13 +140,12 @@ def snake_of_xi(s: Snake) -> Snake:
 def _omega_pp(h: HeightProfile, m: int, l: int) -> MonoidElement:
     eps = epsilon_sequence(h.snake)
     r = h.snake.r
-    w = MonoidElement.one(h.N)
+    pairs = []
     for k in range(m, l + 1):
         e = eps[r - k]
         t = h.p_seq[k - 1]
-        w = w * MonoidElement.generator(
-            Interval(h.i_xi(t) - e, h.j_xi(t) - e), h.N)
-    return w
+        pairs.append((Interval(h.i_xi(t) - e, h.j_xi(t) - e), 1))
+    return MonoidElement.from_pairs(h.N, pairs)
 
 
 def _pgen(h: HeightProfile, a_idx: int, b_idx: int) -> MonoidElement:

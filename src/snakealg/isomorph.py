@@ -66,11 +66,7 @@ class SnakeIso:
             raise PreconditionError(
                 "element %s is outside the submonoid of %s" % (w, self.source))
         m = self.mapping
-        exps: dict[Interval, int] = {}
-        for iv, e in w.exps:
-            img = m[iv]
-            exps[img] = exps.get(img, 0) + e
-        return MonoidElement.from_exponents(self.target.n, exps)
+        return MonoidElement.from_pairs(self.target.n, ((m[iv], e) for iv, e in w.exps))
 
     def inverse(self) -> "SnakeIso":
         return SnakeIso(self.target, self.source,

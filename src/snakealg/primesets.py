@@ -4,6 +4,8 @@ distinguished descriptor sets used as the factorization alphabet."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
 from .core import Interval, MonoidElement, Snake, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
@@ -76,20 +78,6 @@ def closure_check(s: Snake) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class WindowSnake:
-    base: Snake
-    p: int
-    l: int
-    e: int
-    e2: int
-    snake: Snake
-
-    @property
-    def weight(self) -> MonoidElement:
-        return self.snake.weight
-
-
 def window_admissible(s: Snake, e: int, e2: int, p: int, l: int) -> bool:
     """Side-term admissibility for membership in the prime descriptor set."""
     eps = epsilon_sequence(s)
@@ -111,7 +99,17 @@ def window_admissible(s: Snake, e: int, e2: int, p: int, l: int) -> bool:
     return True
 
 
-def window_snake(s: Snake, e: int, e2: int, p: int, l: int) -> WindowSnake:
+def window_cuts(s: Snake) -> Iterator[tuple[int, int, int, int]]:
+    """The admissible window cuts (p, l, e, e2) of s, in descriptor order."""
+    for p in range(-1, s.r - 1):
+        for l in range(p + 2, s.r + 1):
+            for e in (0, 1):
+                for e2 in (0, 1):
+                    if window_admissible(s, e, e2, p, l):
+                        yield p, l, e, e2
+
+
+def window_snake(s: Snake, e: int, e2: int, p: int, l: int) -> Snake:
     """The slice at positions p+2..l, optionally extended by one synthetic
     interval on each side.  The result is always prime."""
     require_prime(s)
@@ -134,103 +132,73 @@ def window_snake(s: Snake, e: int, e2: int, p: int, l: int) -> WindowSnake:
         raise FalsifiedInvariantError(
             "window e=%d e2=%d p=%d l=%d of %s materialized non-prime %s"
             % (e, e2, p, l, s, snake))
-    return WindowSnake(s, p, l, e, e2, snake)
+    return snake
 
 
 @dataclass(frozen=True)
 class PrimeDescriptor:
+    """A prime or frozen descriptor; its weight is the product of its
+    intervals."""
+
     kind: str  # generator | window | pair | extremal
-    payload: object
+    intervals: tuple[Interval, ...]
     weight: MonoidElement
 
-    def intervals(self) -> tuple[Interval, ...]:
-        if self.kind == "window":
-            return self.payload.snake.intervals
-        if self.kind == "pair":
-            return self.payload
-        return (self.payload,)
-
     def __str__(self):
-        body = ",".join(str(iv) for iv in self.intervals())
-        return "%s[%s]" % (self.kind, body)
+        return "%s[%s]" % (self.kind, ",".join(str(iv) for iv in self.intervals))
+
+
+def _descriptors(n: int, entries) -> tuple[PrimeDescriptor, ...]:
+    """Descriptors of the (kind, intervals) entries, without the identity and
+    keeping the first descriptor of each weight."""
+    out = []
+    seen = set()
+    for kind, ivs in entries:
+        w = MonoidElement.from_pairs(n, ((iv, 1) for iv in ivs))
+        if not (w.is_one or w in seen):
+            seen.add(w)
+            out.append(PrimeDescriptor(kind, ivs, w))
+    return tuple(out)
 
 
 @per_snake
 def pr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     require_prime(s)
-    n = s.n
-    out = []
-    seen = set()
-
-    def add(kind, payload, w):
-        if not (w.is_one or w in seen):
-            seen.add(w)
-            out.append(PrimeDescriptor(kind, payload, w))
-
     if s.r <= 2:
-        for iv in s.intervals:
-            add("generator", iv, MonoidElement.generator(iv, n))
-        return tuple(out)
-    for iv in sorted(interval_set(s)):
-        add("generator", iv, MonoidElement.generator(iv, n))
-    for p in range(-1, s.r - 1):
-        for l in range(p + 2, s.r + 1):
-            for e in (0, 1):
-                if e == 1 and p < 1:
-                    continue
-                for e2 in (0, 1):
-                    if e2 == 1 and l > s.r - 2:
-                        continue
-                    if not window_admissible(s, e, e2, p, l):
-                        continue
-                    w = window_snake(s, e, e2, p, l)
-                    add("window", w, w.weight)
-    return tuple(out)
+        return _descriptors(s.n, (("generator", (iv,)) for iv in s.intervals))
+    gens = (("generator", (iv,)) for iv in sorted(interval_set(s)))
+    windows = (("window", window_snake(s, e, e2, p, l).intervals)
+               for p, l, e, e2 in window_cuts(s))
+    return _descriptors(s.n, chain(gens, windows))
 
 
 @per_snake
 def fr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     require_prime(s)
-    n, r = s.n, s.r
+    r = s.r
     iv = s.iv
-    out = []
-    seen = set()
-
-    def add(kind, payload, w):
-        if not (w.is_one or w in seen):
-            seen.add(w)
-            out.append(PrimeDescriptor(kind, payload, w))
-
-    def add_pair(a, b):
-        add("pair", (a, b), MonoidElement.generator(a, n) * MonoidElement.generator(b, n))
-
-    def add_single(a):
-        add("extremal", a, MonoidElement.generator(a, n))
-
     if r == 1:
         return ()
     if r == 2:
-        add_pair(iv(1), iv(2))
-        add_single(Interval(iv(1).i, iv(2).j))
-        add_single(Interval(iv(2).i, iv(1).j))
-        return tuple(out)
+        return _descriptors(s.n, (("pair", (iv(1), iv(2))),
+                                  ("extremal", (Interval(iv(1).i, iv(2).j),)),
+                                  ("extremal", (Interval(iv(2).i, iv(1).j),))))
     eps = epsilon_sequence(s)
-    add_single(Interval(s.i_min, s.j_max))
-    add_single(Interval(s.i_max, s.j_min))
     e1, er = eps[0], eps[-1]
-    add_pair(iv(1), Interval(iv(2 + e1).i, iv(3 - e1).j))
+    entries = [("extremal", (Interval(s.i_min, s.j_max),)),
+               ("extremal", (Interval(s.i_max, s.j_min),)),
+               ("pair", (iv(1), Interval(iv(2 + e1).i, iv(3 - e1).j)))]
     for t in range(2, r):
         e = eps[t - 1]
-        add_pair(iv(t), Interval(iv(t + 1 - 2 * e).i, iv(t - 1 + 2 * e).j))
-    add_pair(iv(r), Interval(iv(r - 2 + er).i, iv(r - 1 - er).j))
+        entries.append(("pair", (iv(t), Interval(iv(t + 1 - 2 * e).i, iv(t - 1 + 2 * e).j))))
+    entries.append(("pair", (iv(r), Interval(iv(r - 2 + er).i, iv(r - 1 - er).j))))
     for t in range(2, r - 1):
         if not both_ends_differ(iv(t - 1), iv(t + 2)):
             continue
         e = eps[t - 1]
-        add_pair(
-            Interval(iv(t - e).i, iv(t - 1 + e).j),
-            Interval(iv(t + 1 + e).i, iv(t + 2 - e).j))
-    return tuple(out)
+        entries.append(("pair", (Interval(iv(t - e).i, iv(t - 1 + e).j),
+                                 Interval(iv(t + 1 + e).i, iv(t + 2 - e).j))))
+    return _descriptors(s.n, entries)
 
 
 @per_snake
@@ -240,11 +208,3 @@ def descriptor_index(s: Snake) -> dict:
     for d in pr_set(s) + fr_set(s):
         index.setdefault(d.weight, d)
     return index
-
-
-def lookup_descriptor(w: MonoidElement, s: Snake) -> PrimeDescriptor:
-    d = descriptor_index(s).get(w)
-    if d is None:
-        raise FalsifiedInvariantError(
-            "weight %s is not a prime descriptor of %s" % (w, s))
-    return d

@@ -76,7 +76,9 @@ class TestUsageErrors:
         ("bogus", SSTAR),
         (),
         ("selftest", "--level", "desk"),
-    ], ids=["missing-omega", "unknown-verb", "no-verb", "selftest-level"])
+        ("enumerate", "--r-max", "2", "--span", "3", "--limit", "-1"),
+    ], ids=["missing-omega", "unknown-verb", "no-verb", "selftest-level",
+            "negative-limit"])
     def test_parse_error_document(self, capsys, argv):
         code = cli.main(list(argv))
         captured = capsys.readouterr()

@@ -30,6 +30,8 @@ class TestMonoidElement:
         assert gen(2, 2).is_one
         assert gen(-1, 6).is_one
         assert gen(0, 7).is_one
+        pairs = [(Interval(2, 2), 1), (Interval(0, 6), 1), (Interval(-1, 6), 2)]
+        assert MonoidElement.from_pairs(6, pairs) == gen(0, 6)
 
     def test_product_and_quotient(self):
         w = gen(0, 6) * gen(-1, 4)
@@ -57,6 +59,11 @@ class TestMonoidElement:
         w = gen(0, 6) * gen(-1, 4) * gen(-1, 4)
         assert sa.parse_monoid_element(str(w), 6) == w
         assert sa.parse_monoid_element("1", 6) == MonoidElement.one(6)
+        # repeats sum to one exponent
+        w3 = sa.parse_monoid_element("w{0,6} * w{0,6}^2", 6)
+        assert w3 == MonoidElement.from_pairs(6, [(Interval(0, 6), 3)]) == gen(0, 6).pow(3)
+        assert str(w3) == "w{0,6}^3"
+        assert sa.parse_monoid_element(str(w3), 6) == w3
 
     def test_parse_errors(self):
         with pytest.raises(sa.ParseError):

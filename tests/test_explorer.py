@@ -11,6 +11,10 @@ class TestCorpusSpec:
             sa.CorpusSpec(r_max=8, span=5)
         with pytest.raises(sa.PreconditionError):
             sa.CorpusSpec(r_max=3, span=13)
+        # no length cap, or an empty alphabet
+        for r_max, span in ((0, 6), (-1, 8), (3, 0), (3, -2)):
+            with pytest.raises(sa.PreconditionError):
+                sa.CorpusSpec(r_max=r_max, span=span)
 
     def test_unknown_filter(self):
         with pytest.raises(sa.PreconditionError):

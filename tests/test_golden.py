@@ -73,7 +73,7 @@ BOUNDARY_SAMPLE = {3: 4, 4: 4, 5: 4}
 def factorization_lines(s, elements):
     for w in elements:
         f = sa.factor(w, s)
-        body = ";".join("%s:%s:%s" % (d.kind, ",".join(str(iv) for iv in d.intervals()),
+        body = ";".join("%s:%s:%s" % (d.kind, ",".join(str(iv) for iv in d.intervals),
                                       d.weight) for d in f.factors)
         yield "%s|%s=%s\n" % (s, w, body)
 
