@@ -8,8 +8,7 @@ from .errors import (FalsifiedInvariantError, NotAlternatingError, ParseError,
                      PreconditionError, SnakeAlgError)
 from .explorer import (CorpusSpec, enumerate_snakes, oracle_factorizations,
                        random_snake)
-from .factorizer import (Factorization, Profile, canonical_order,
-                         compatible_product, extract_profile, factor)
+from .factorizer import Factorization, compatible_product, factor
 from .grothendieck import (ExchangeTriple, IrredClass, RingElement,
                            exchange_triple, irred_class, multiply_classes)
 from .heightmap import (HeightProfile, cluster_export, fr_xi, height_profile,

@@ -14,6 +14,10 @@ from . import explorer, factorizer, grothendieck, heightmap, isomorph, primesets
 from .core import parse_monoid_element, parse_snake
 from .errors import FalsifiedInvariantError, ParseError, PreconditionError
 
+# The factor document lists one entry per factor, so it is only written for
+# factorizations of at most this many factors.
+MAX_LISTED_FACTORS = 10000
+
 
 def _emit(doc) -> int:
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
@@ -59,11 +63,17 @@ def _cmd_factor(args) -> int:
     s = parse_snake(args.snake)
     w = parse_monoid_element(args.omega, s.n)
     f = factorizer.factor(w, s)
+    # len(f) cannot count past sys.maxsize
+    count = sum(m for _, m in f.pairs)
+    if count > MAX_LISTED_FACTORS:
+        raise PreconditionError(
+            "%s of height %d has %d factors; factor lists at most %d"
+            % (w, w.ht, count, MAX_LISTED_FACTORS))
     return _emit({
         "snake": str(s),
         "omega": str(w),
         "factors": [_descriptor_doc(d) for d in f.factors],
-        "count": len(f),
+        "count": count,
     })
 
 

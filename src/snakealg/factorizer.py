@@ -1,42 +1,33 @@
 """Canonical factorization of monoid elements into prime descriptors.
 
-The engine below is a case ledger.  It is written for snakes whose first
-alternation bit is 0; the other orientation is handled by conjugating with
-the coordinate reflection, which is an involution on everything in sight.
+The engine below is a case ledger.  It reads the head generators of a snake
+for either first alternation bit and otherwise only indices, so it runs on
+both orientations as they are.
 
 Each snake is compiled once into a ``SnakeContext``: its generators interned
 to indices, its head generators and its descriptor alphabet keyed by integer
-exponent tuples.  The contexts the ledger hands work to (the tail, the mirror
-and the extended snake ŝ) are compiled on first use, with the maps between
-their indices and the parent's.  The ledger runs on a list of exponents and
-peels the whole multiplicity of a case in one step, so its cost depends on
-the support of an element, not on its height.
+exponent tuples.  The contexts the ledger hands work to (the tail and the
+extended snake ŝ) are compiled on first use, with the maps between their
+indices and the parent's.  The ledger runs on a list of exponents and peels
+the whole multiplicity of a case in one step, so its cost depends on the
+support of an element, not on its height.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Interval, MonoidElement, Snake, is_trivial
+from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
 from .primesets import (PrimeDescriptor, descriptor_index, generator_intervals,
-                        submonoid_member, window_cuts, window_snake)
+                        window_cuts, window_snake)
 from .snakes import per_snake, require_prime
-
-
-def canonical_order(w: MonoidElement) -> list[Interval]:
-    """Word ordering with weakly decreasing endpoint sums, ties lexicographic."""
-    word = []
-    for iv, e in w.exps:
-        word.extend([iv] * e)
-    word.sort(key=lambda iv: (-(iv.i + iv.j), iv.i, iv.j))
-    return word
 
 
 @per_snake
 def snake_context(s: Snake) -> "SnakeContext":
     """The compiled context of a prime snake.  It also holds the contexts it
-    hands work to, each of a shorter snake or of the mirror."""
+    hands work to, each of a shorter snake."""
     return SnakeContext(s)
 
 
@@ -51,7 +42,7 @@ class SnakeContext:
 
     def __init__(self, s: Snake):
         self.snake = s
-        self.eps0 = require_prime(s).eps[0]
+        eps0 = require_prime(s).eps[0]
         gens = generator_intervals(s)
         self.alphabet = tuple(sorted(descriptor_index(s).values(),
                                      key=lambda d: (-d.weight.ht, d.weight.exps)))
@@ -62,11 +53,11 @@ class SnakeContext:
         self.exps = tuple(tuple((self.pos[iv], e) for iv, e in d.weight.exps)
                           for d in self.alphabet)
         self.index = {key: k for k, key in enumerate(self.exps)}
-        self.head = _head_generators(s, self.eps0) if s.r >= 3 else None
+        self.head = _head_generators(s, eps0) if s.r >= 3 else None
         self._links: dict[str, _Link] = {}
         self._windows = None
-        # the ledger of this length and orientation, as a plain function so
-        # that the context holds no reference to itself
+        # the ledger of this length, as a plain function so that the context
+        # holds no reference to itself
         self._ledger = self._compile_ledger()
 
     # -- indices ------------------------------------------------------------
@@ -106,17 +97,16 @@ class SnakeContext:
         return MonoidElement.from_pairs(self.snake.n, zip(self.coords, v))
 
     def link(self, kind: str) -> "_Link":
-        """The tail, mirror or ŝ context, compiled on first use."""
+        """The tail context (kind "tail": positions 2..r) or the ŝ context
+        (kind "shat": g2 followed by positions 3..r), compiled on first use."""
         link = self._links.get(kind)
         if link is None:
             s = self.snake
             if kind == "tail":
-                link = _Link(self, snake_context(s.subsnake(2, s.r)), False)
-            elif kind == "mirror":
-                link = _Link(self, snake_context(s.reflect()), True)
+                link = _Link(self, snake_context(s.subsnake(2, s.r)))
             else:
                 shat = Snake(s.n, (self.head[1],) + s.intervals[2:])
-                link = _Link(self, snake_context(shat), False)
+                link = _Link(self, snake_context(shat))
             self._links[kind] = link
         return link
 
@@ -160,8 +150,6 @@ class SnakeContext:
                             for iv in (Interval(a.i, b.j), Interval(b.i, a.j))
                             if self.gen_index(iv) is not None]
             return SnakeContext._rank2
-        if self.eps0 == 1:
-            return SnakeContext._mirror
         g1, g2, g3, g4, g22, g23 = self.head
         tail_gens = generator_intervals(s.subsnake(2, s.r))
         self.nontail = [k for k, iv in enumerate(self.coords) if iv not in tail_gens]
@@ -188,11 +176,8 @@ class SnakeContext:
             if v[k]:
                 self._emit(counts, peel, v[k])
 
-    def _mirror(self, v, counts):
-        self.link("mirror").delegate(v, counts)
-
     def _head(self, v, counts):
-        """The main ledger; assumes r >= 3 and first alternation bit 0.
+        """The main ledger, for r >= 3 and either first alternation bit.
 
         Each pass peels one case with its whole multiplicity.  While a run of
         the same peel lasts, every exponent it lowers stays positive, so the
@@ -313,15 +298,16 @@ class SnakeContext:
                       else (1, -(2 * le[0] + le[1]))
                       for le in (table.get(d.weight) for d in tail.ctx.alphabet)]
             g1 = s.iv(1)
-            with_g1 = [self._peel(g1, *(iv for iv, e in tail.lifted(j) for _ in range(e)))
-                       for j in range(len(tail.ctx.alphabet))]
+            with_g1 = [self._peel(g1, *(iv for iv, e in d.weight.exps for _ in range(e)))
+                       for d in tail.ctx.alphabet]
             self._windows = orders, with_g1
         return self._windows
 
 
 def _head_generators(s: Snake, e1: int) -> tuple[Interval, ...]:
     """g1, g2, g3, g4, g22 and g23 of the ledger, for first alternation bit
-    e1 (the ledger itself only runs at e1 = 0)."""
+    e1.  Those at e1 = 1 are the reflections of those of the reflected snake
+    at e1 = 0."""
     iv = s.iv
     return (iv(1),
             Interval(iv(1 + e1).i, iv(2 - e1).j),
@@ -332,32 +318,23 @@ def _head_generators(s: Snake, e1: int) -> tuple[Interval, ...]:
 
 
 class _Link:
-    """A context that a parent context hands part of an element to, with the
-    maps between their indices.  The mirror link reflects intervals."""
+    """A context of a shorter snake that a parent context hands part of an
+    element to, with the maps between their indices.  Both snakes have the
+    same rank, so an interval means the same generator in each."""
 
-    def __init__(self, parent: SnakeContext, ctx: SnakeContext, reflect: bool):
+    def __init__(self, parent: SnakeContext, ctx: SnakeContext):
         self.ctx = ctx
-        self.reflect = reflect
         self.parent_snake = parent.snake
         self.parent_coords = parent.coords
-        self.cmap = [ctx.gen_index(self.image(iv)) for iv in parent.coords]
-        self.lift = [parent.find(self.lifted(j)) for j in range(len(ctx.alphabet))]
+        self.cmap = [ctx.gen_index(iv) for iv in parent.coords]
+        self.lift = [parent.find(d.weight.exps) for d in ctx.alphabet]
         # whether a descriptor carries the first interval of the child: g2
         # for ŝ, g22 for the tail
         head = ctx.snake.iv(1)
         self.has_head = [d.weight.exponent(head) >= 1 for d in ctx.alphabet]
 
-    def image(self, iv: Interval) -> Interval:
-        return iv.reflect() if self.reflect else iv
-
-    def lifted(self, j: int) -> list[tuple[Interval, int]]:
-        """The weight of child descriptor j as (interval, exponent) pairs of
-        the parent."""
-        return [(self.image(iv), e) for iv, e in self.ctx.alphabet[j].weight.exps]
-
     def child_element(self, v) -> MonoidElement:
-        return MonoidElement.from_pairs(
-            self.ctx.snake.n, ((self.image(iv), e) for iv, e in zip(self.parent_coords, v)))
+        return MonoidElement.from_pairs(self.ctx.snake.n, zip(self.parent_coords, v))
 
     def solve(self, v: list[int]) -> dict[int, int]:
         cv = [0] * len(self.ctx.coords)
@@ -381,46 +358,9 @@ class _Link:
         if k is None:
             raise FalsifiedInvariantError(
                 "weight %s is not a prime descriptor of %s"
-                % (MonoidElement.from_pairs(self.ctx.snake.n, self.lifted(j)),
-                   self.parent_snake))
+                % (self.ctx.alphabet[j].weight, self.parent_snake))
         counts[k] = counts.get(k, 0) + m
         return k
-
-
-@dataclass(frozen=True)
-class Profile:
-    a1: int
-    a2: int
-    a3: int
-    b: int
-    rest: MonoidElement
-
-
-def extract_profile(w: MonoidElement, s: Snake) -> Profile:
-    """Split off the exponents of the four head generators; any generator that
-    also belongs to the tail alphabet counts toward the remainder instead."""
-    ctx = snake_context(s)
-    if s.r < 3:
-        raise PreconditionError("profiles need length >= 3")
-    if not submonoid_member(w, s):
-        raise PreconditionError("element %s is outside the submonoid of %s" % (w, s))
-    tail_gens = generator_intervals(s.subsnake(2, s.r))
-    if all(iv in tail_gens for iv in w.support):
-        raise PreconditionError("element %s already lives over the tail of %s" % (w, s))
-    exps = []
-    rest = w
-    for g in ctx.head[:4]:
-        if g in tail_gens or is_trivial(g, s.n):
-            exps.append(0)
-            continue
-        e = w.exponent(g)
-        exps.append(e)
-        if e:
-            rest = rest.quotient(MonoidElement.generator(g, s.n).pow(e))
-    if not submonoid_member(rest, s.subsnake(2, s.r)):
-        raise FalsifiedInvariantError(
-            "profile remainder %s of %s escapes the tail alphabet" % (rest, s))
-    return Profile(exps[0], exps[1], exps[2], exps[3], rest)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ same positions in the other.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Interval, MonoidElement, Snake, is_trivial
@@ -108,8 +109,9 @@ def build_iso(s: Snake, t: Snake) -> SnakeIso:
 
 def transport_check(iso: SnakeIso, w: MonoidElement) -> bool:
     """Factorization commutes with the isomorphism on w."""
-    fs = factor(w, iso.source)
-    ft = factor(iso.eta(w), iso.target)
-    image = sorted((iso.eta(d.weight) for d in fs.factors), key=lambda x: x.exps)
-    direct = sorted((d.weight for d in ft.factors), key=lambda x: x.exps)
+    image, direct = Counter(), Counter()
+    for d, m in factor(w, iso.source).pairs:
+        image[iso.eta(d.weight)] += m
+    for d, m in factor(iso.eta(w), iso.target).pairs:
+        direct[d.weight] += m
     return image == direct

@@ -70,6 +70,37 @@ class TestFactor:
         assert product == parse_monoid_element("w{0,5}^2000", 6)
 
 
+class TestHugeExponents:
+    """Elements whose factorizations are far too long to expand end in one
+    JSON document, not in a MemoryError."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("factor", "--snake", "[(0,2)] @ n=3", "--omega", "w{0,2}^1000000000"), 3),
+        (("factor", "--snake", S2, "--omega",
+          "w{0,2}^99999999999999999999999 * w{-1,1}"), 3),
+        (("iso", "--source", S2, "--target", "[(0,3),(-2,1)] @ n=5",
+          "--omega", "w{0,2}^99999999999"), 0),
+    ], ids=["rank1-power", "rank2-power", "iso-power"])
+    def test_one_document(self, capsys, argv, expected):
+        code = cli.main(list(argv))
+        out = capsys.readouterr().out
+        doc, end = json.JSONDecoder().raw_decode(out)
+        assert out[end:] == "\n"
+        assert code == expected
+        assert doc.get("transport", True) is True
+
+    def test_factor_cap(self, capsys):
+        cap = cli.MAX_LISTED_FACTORS
+        assert cap >= 2048
+        code, doc = run(capsys, "factor", "--snake", "[(0,2)] @ n=3",
+                        "--omega", "w{0,2}^%d" % cap)
+        assert code == 0 and doc["count"] == cap
+        code, doc = run(capsys, "factor", "--snake", "[(0,2)] @ n=3",
+                        "--omega", "w{0,2}^%d" % (cap + 1))
+        assert code == 3
+        assert str(cap) in doc["message"] and str(cap + 1) in doc["message"]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("factor", "--snake", SSTAR),

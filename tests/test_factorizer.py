@@ -4,7 +4,8 @@ import pytest
 
 import snakealg as sa
 import snakealg.cli  # noqa: F401  (its caches are checked too)
-from snakealg import MonoidElement, snakes
+from snakealg import MonoidElement, Snake, snakes
+from snakealg.factorizer import snake_context
 
 from conftest import monomials
 
@@ -83,6 +84,32 @@ class TestInvariants:
                 right = sa.factor(m.reflect(), sr).weight_multiset()
                 assert sorted(x.reflect().exps for x in left) == sorted(
                     x.exps for x in right)
+
+
+def check_links(ctx):
+    """Every context linked from ctx, at any depth, is of the tail or the ŝ
+    snake of its parent, as it is: none is of a reflected snake."""
+    s = ctx.snake
+    expected = {"tail": s.subsnake(2, s.r)}
+    if s.r >= 3:
+        expected["shat"] = Snake(s.n, (ctx.head[1],) + s.intervals[2:])
+    for kind, link in ctx._links.items():
+        assert link.ctx.snake == expected[kind], (kind, s)
+        check_links(link.ctx)
+
+
+class TestBothOrientations:
+    def test_links_are_tail_and_shat(self, sstar, small_corpus):
+        bit1 = [s for s in small_corpus
+                if s.r >= 3 and sa.classify(s).eps[0] == 1][::5]
+        assert len(bit1) >= 4
+        for s in [sstar, sstar.reflect()] + bit1:
+            g2 = snake_context(s).head[1]
+            # g2 goes through ŝ, and what is left of g22 through the tail
+            sa.factor(MonoidElement.from_pairs(s.n, ((g2, 1), (s.iv(2), 1))), s)
+            ctx = snake_context(s)
+            assert set(ctx._links) == {"tail", "shat"}, s
+            check_links(ctx)
 
 
 def stack_depth():
@@ -166,17 +193,6 @@ class TestBoundedCaches:
         assert snakes.classify.cache_info().currsize <= snakes.CLASSIFY_CACHE_SIZE
 
 
-class TestProfiles:
-    def test_sstar_profile(self, sstar):
-        p = sa.extract_profile(w("w{0,6}^2 * w{-1,4} * w{1,3}"), sstar)
-        assert p.a1 == 2
-        assert p.rest == w("w{-1,4} * w{1,3}")
-
-    def test_tail_element_rejected(self, sstar):
-        with pytest.raises(sa.PreconditionError):
-            sa.extract_profile(w("w{1,3}"), sstar)
-
-
 class TestCompatibility:
     def test_pair_not_compatible(self, s2):
         f1 = sa.factor(w("w{0,2}", 3), s2)
@@ -192,10 +208,3 @@ class TestCompatibility:
         f = sa.factor(w("w{0,2}", 3), s2)
         assert sa.compatible_product(f0, f, s2)
 
-
-class TestCanonicalOrder:
-    def test_sorted_by_falling_endpoint_sum(self):
-        word = sa.canonical_order(w("w{1,3} * w{0,6} * w{0,6} * w{-1,4}"))
-        sums = [iv.i + iv.j for iv in word]
-        assert sums == sorted(sums, reverse=True)
-        assert len(word) == 4
