@@ -157,6 +157,15 @@ class MonoidElement:
         return " * ".join(parts)
 
 
+def _int(digits: str) -> int:
+    """int(digits); a digit run past the interpreter's conversion limit is a
+    parse error."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 _GEN_RE = re.compile(r"^w\{(-?\d+),(-?\d+)\}(?:\^(\d+))?$")
 
 
@@ -170,7 +179,7 @@ def parse_monoid_element(text: str, n: int) -> MonoidElement:
         m = _GEN_RE.match(chunk.strip())
         if m is None:
             raise ParseError("bad generator %r" % chunk.strip())
-        pairs.append((Interval(int(m.group(1)), int(m.group(2))), int(m.group(3) or 1)))
+        pairs.append((Interval(_int(m.group(1)), _int(m.group(2))), _int(m.group(3) or "1")))
     try:
         return MonoidElement.from_pairs(n, pairs)
     except PreconditionError as exc:
@@ -258,7 +267,7 @@ def parse_snake(text: str) -> Snake:
     m = _SNAKE_RE.match(text.strip())
     if m is None:
         raise ParseError("bad snake syntax: %r" % text)
-    body, n = m.group(1), int(m.group(2))
+    body, n = m.group(1), _int(m.group(2))
     stripped = re.sub(r"[\s,]", "", body)
     pairs = _PAIR_RE.findall(body)
     if re.sub(r"[\s,]", "", "".join("(%s,%s)" % p for p in pairs)) != stripped:
@@ -266,7 +275,7 @@ def parse_snake(text: str) -> Snake:
     if not pairs:
         raise ParseError("empty snake")
     try:
-        return Snake(n, tuple(Interval(int(a), int(b)) for a, b in pairs))
+        return Snake(n, tuple(Interval(_int(a), _int(b)) for a, b in pairs))
     except PreconditionError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -15,12 +15,13 @@ support of an element, not on its height.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
 from .primesets import (PrimeDescriptor, descriptor_index, generator_intervals,
-                        window_cuts, window_snake)
+                        window_cuts)
 from .snakes import per_snake, require_prime
 
 
@@ -139,17 +140,8 @@ class SnakeContext:
 
     def _compile_ledger(self):
         s = self.snake
-        if s.r == 1:
-            self.p1 = self._peel(s.iv(1))
-            return SnakeContext._rank1
-        if s.r == 2:
-            a, b = s.iv(1), s.iv(2)
-            self.pab, self.pa, self.pb = self._peel(a, b), self._peel(a), self._peel(b)
-            self.ia, self.ib = self.pos[a], self.pos[b]
-            self.crosses = [(self.pos[iv], self._peel(iv))
-                            for iv in (Interval(a.i, b.j), Interval(b.i, a.j))
-                            if self.gen_index(iv) is not None]
-            return SnakeContext._rank2
+        if s.r <= 2:
+            return SnakeContext._greedy
         g1, g2, g3, g4, g22, g23 = self.head
         tail_gens = generator_intervals(s.subsnake(2, s.r))
         self.nontail = [k for k, iv in enumerate(self.coords) if iv not in tail_gens]
@@ -163,18 +155,16 @@ class SnakeContext:
         self.p1 = self._peel(g1)
         return SnakeContext._head
 
-    def _rank1(self, v, counts):
-        self._emit(counts, self.p1, sum(v))
-
-    def _rank2(self, v, counts):
-        e11, e22 = v[self.ia], v[self.ib]
-        pairs = min(e11, e22)
-        for peel, m in ((self.pab, pairs), (self.pa, e11 - pairs), (self.pb, e22 - pairs)):
+    def _greedy(self, v, counts):
+        """The ledger for r <= 2: each descriptor in canonical order takes as
+        many copies as are left.  The pair is the only descriptor of height 2,
+        so it takes min(a, b) and the generators take the rest."""
+        for k, exps in enumerate(self.exps):
+            m = min([v[c] // e for c, e in exps])
             if m:
-                self._emit(counts, peel, m)
-        for k, peel in self.crosses:
-            if v[k]:
-                self._emit(counts, peel, v[k])
+                counts[k] = m
+                for c, e in exps:
+                    v[c] -= e * m
 
     def _head(self, v, counts):
         """The main ledger, for r >= 3 and either first alternation bit.
@@ -289,8 +279,8 @@ class SnakeContext:
         Compiled on first use."""
         if self._windows is None:
             s = self.snake
-            table = {window_snake(s, 0, e2, 0, l).weight: (l, e2)
-                     for p, l, e, e2 in window_cuts(s) if p == 0 and e == 0}
+            table = {MonoidElement.from_pairs(s.n, ((iv, 1) for iv in ivs)): (l, e2)
+                     for (p, l, e, e2), ivs in window_cuts(s) if p == 0 and e == 0}
             # compatibility ordering: even-parity windows ascending, then
             # odd-parity windows descending
             orders = [None if le is None else
@@ -398,12 +388,15 @@ def factor(w: MonoidElement, s: Snake) -> Factorization:
 
 
 def compatible_product(f1: Factorization, f2: Factorization, s: Snake) -> bool:
-    """Whether the two factorizations stay intact under multiplication."""
+    """Whether the two factorizations stay intact under multiplication: the
+    factorization of the product has the factors of both, with the summed
+    multiplicities."""
     if not f1.pairs:
         return True
     if not f2.pairs:
         return True
+    merged = Counter()
+    for d, m in f1.pairs + f2.pairs:
+        merged[d.weight] += m
     combined = factor(f1.weight * f2.weight, s)
-    merged = tuple(sorted(f1.weight_multiset() + f2.weight_multiset(),
-                          key=lambda x: x.exps))
-    return combined.weight_multiset() == merged
+    return merged == Counter({d.weight: m for d, m in combined.pairs})

@@ -1,9 +1,7 @@
 """Formal integer combinations of irreducible classes and the exchange
 relations relating a snake, its tail, and the endpoint-crossed product.
 
-A class is identified by its normalized weight; products are only evaluated
-when forced (compatible factorizations, or the head/tail exchange pattern),
-otherwise the result is reported as undetermined.
+A class is identified by its normalized weight.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from dataclasses import dataclass
 
 from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
-from .factorizer import compatible_product, factor
+from .factorizer import factor
 from .snakes import both_ends_differ, epsilon_sequence, require_prime
 
 
@@ -73,34 +71,6 @@ def _tail_weight(s: Snake, start: int) -> MonoidElement:
     if start > s.r:
         return MonoidElement.one(s.n)
     return s.subsnake(start, s.r).weight
-
-
-def multiply_classes(c1: IrredClass, c2: IrredClass, s: Snake):
-    """The product of two classes over s, when it is determined.
-
-    Returns a RingElement, or None when neither compatibility nor the
-    head/tail exchange pattern of a contiguous subsnake applies.
-    """
-    require_prime(s)
-    f1, f2 = factor(c1.omega, s), factor(c2.omega, s)
-    if compatible_product(f1, f2, s):
-        return RingElement.single(irred_class(c1.omega * c2.omega, s))
-    for p in range(1, s.r):
-        for l in range(p + 1, s.r + 1):
-            t = s.subsnake(p, l)
-            head = MonoidElement.generator(t.iv(1), s.n)
-            rest = _tail_weight(t, 2)
-            if {c1.omega, c2.omega} != {head, rest}:
-                continue
-            cross1, cross2 = _crossed(t)
-            crossed = (MonoidElement.generator(cross1, s.n)
-                       * MonoidElement.generator(cross2, s.n)
-                       * _tail_weight(t, 3))
-            return RingElement.from_terms([
-                (irred_class(t.weight, s), 1),
-                (irred_class(crossed, s), 1),
-            ])
-    return None
 
 
 @dataclass(frozen=True)

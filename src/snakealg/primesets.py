@@ -78,61 +78,66 @@ def closure_check(s: Snake) -> bool:
     return True
 
 
-def window_admissible(s: Snake, e: int, e2: int, p: int, l: int) -> bool:
-    """Side-term admissibility for membership in the prime descriptor set."""
+def _side_terms(s: Snake) -> tuple[dict[int, Interval], dict[int, Interval]]:
+    """The admissible side terms of the windows of s: the synthetic interval
+    of a window with e = 1, by its cut p, and of one with e2 = 1, by its cut
+    l.  A cut that is missing forbids the side term.  In particular, a side
+    condition whose reference position (p + 3 or l + 2) falls off the snake
+    forbids it; such windows duplicate frozen pairs weight-for-weight."""
     eps = epsilon_sequence(s)
     iv = s.iv
-    # a side condition whose reference position falls off the snake forbids
-    # the side term; such windows duplicate frozen pairs weight-for-weight
-    if e == 1:
-        if p < 1 or p + 3 > s.r:
-            return False
+    left, right = {}, {}
+    for p in range(1, s.r - 2):
         ep = eps[p - 1]
-        if iv(p + ep).i == iv(p + 3).i or iv(p + 1 - ep).j == iv(p + 3).j:
-            return False
-    if e2 == 1:
-        if l > s.r - 2 or l < 2:
-            return False
+        if iv(p + ep).i != iv(p + 3).i and iv(p + 1 - ep).j != iv(p + 3).j:
+            left[p] = Interval(iv(p + ep).i, iv(p + 1 - ep).j)
+    for l in range(2, s.r - 1):
         el = eps[l - 1]
-        if iv(l - 1).i == iv(l + 1 + el).i or iv(l - 1).j == iv(l + 2 - el).j:
-            return False
-    return True
+        if iv(l - 1).i != iv(l + 1 + el).i and iv(l - 1).j != iv(l + 2 - el).j:
+            right[l] = Interval(iv(l + 1 + el).i, iv(l + 2 - el).j)
+    return left, right
 
 
-def window_cuts(s: Snake) -> Iterator[tuple[int, int, int, int]]:
-    """The admissible window cuts (p, l, e, e2) of s, in descriptor order."""
+def _window(s: Snake, left, right, p: int, l: int, e: int, e2: int) -> Snake:
+    """The window of an admissible cut, with the side terms of s, checked to
+    be prime."""
+    parts = s.intervals[p + 1:l]
+    if e:
+        parts = (left[p],) + parts
+    if e2:
+        parts = parts + (right[l],)
+    snake = Snake(s.n, parts)
+    if not classify(snake).prime:
+        raise FalsifiedInvariantError(
+            "window e=%d e2=%d p=%d l=%d of %s materialized non-prime %s"
+            % (e, e2, p, l, s, snake))
+    return snake
+
+
+def window_cuts(s: Snake) -> Iterator[tuple[tuple[int, int, int, int],
+                                             tuple[Interval, ...]]]:
+    """The admissible window cuts (p, l, e, e2) of s with the intervals of
+    each window, in descriptor order."""
+    left, right = _side_terms(s)
     for p in range(-1, s.r - 1):
         for l in range(p + 2, s.r + 1):
-            for e in (0, 1):
-                for e2 in (0, 1):
-                    if window_admissible(s, e, e2, p, l):
-                        yield p, l, e, e2
+            for e in (0, 1) if p in left else (0,):
+                for e2 in (0, 1) if l in right else (0,):
+                    yield (p, l, e, e2), _window(s, left, right, p, l, e, e2).intervals
 
 
 def window_snake(s: Snake, e: int, e2: int, p: int, l: int) -> Snake:
     """The slice at positions p+2..l, optionally extended by one synthetic
     interval on each side.  The result is always prime."""
     require_prime(s)
-    if not (-1 <= p and p + 2 <= l <= s.r):
-        raise PreconditionError("bad window cuts p=%d l=%d for r=%d" % (p, l, s.r))
-    if not window_admissible(s, e, e2, p, l):
+    if not (e in (0, 1) and e2 in (0, 1) and -1 <= p and p + 2 <= l <= s.r):
+        raise PreconditionError("bad window cuts e=%d e2=%d p=%d l=%d for r=%d"
+                                % (e, e2, p, l, s.r))
+    left, right = _side_terms(s)
+    if (e and p not in left) or (e2 and l not in right):
         raise PreconditionError(
             "inadmissible window e=%d e2=%d p=%d l=%d for %s" % (e, e2, p, l, s))
-    eps = epsilon_sequence(s)
-    parts = []
-    if e == 1:
-        ep = eps[p - 1]
-        parts.append(Interval(s.iv(p + ep).i, s.iv(p + 1 - ep).j))
-    parts.extend(s.intervals[p + 1:l])
-    if e2 == 1:
-        el = eps[l - 1]
-        parts.append(Interval(s.iv(l + 1 + el).i, s.iv(l + 2 - el).j))
-    snake = Snake(s.n, tuple(parts))
-    if not classify(snake).prime:
-        raise FalsifiedInvariantError(
-            "window e=%d e2=%d p=%d l=%d of %s materialized non-prime %s"
-            % (e, e2, p, l, s, snake))
-    return snake
+    return _window(s, left, right, p, l, e, e2)
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,7 @@ def pr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     if s.r <= 2:
         return _descriptors(s.n, (("generator", (iv,)) for iv in s.intervals))
     gens = (("generator", (iv,)) for iv in sorted(interval_set(s)))
-    windows = (("window", window_snake(s, e, e2, p, l).intervals)
-               for p, l, e, e2 in window_cuts(s))
+    windows = (("window", ivs) for _, ivs in window_cuts(s))
     return _descriptors(s.n, chain(gens, windows))
 
 

@@ -1,5 +1,5 @@
-"""Classification of interval tuples (stable / connected / prime) and the
-greedy decomposition of a stable tuple into prime factors."""
+"""Classification of interval tuples (stable / connected / prime), the
+alternation bits and interleaving chains of a snake, and the per-snake memo."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from functools import lru_cache, wraps
 from typing import NamedTuple
 
 from .core import Interval, Snake, is_trivial
-from .errors import FalsifiedInvariantError, NotAlternatingError, PreconditionError
+from .errors import NotAlternatingError, PreconditionError
 
 # snakes whose derived data (alternation bits, interval and descriptor sets,
 # height profile, factorizer context) are kept, least recently used first out
@@ -164,48 +164,6 @@ def require_prime(s: Snake) -> SnakeClassification:
     if not c.prime:
         raise PreconditionError("snake is not prime: %s" % s)
     return c
-
-
-def _cut_qualifies(s: Snake, p: int) -> bool:
-    """Whether the prefix ending at position p splits off as a prime factor."""
-    eps = epsilon_sequence(s)
-    e = eps[p - 1]
-    lo, hi = s.iv(p + 1 - e), s.iv(p + e)
-    if not (linked(lo, hi) and pair_rank(lo, hi) <= s.n):
-        return True
-    iv = s.iv
-    if p - 1 >= 1 and p + 1 <= s.r:
-        for x, y in ((0, 1), (1, 0)):  # endpoint indices: 0 is i, 1 is j
-            if iv(p - 1)[x] == iv(p + 1)[x] and iv(p + 1 - 2 * e)[y] < iv(p - 1 + 2 * e)[y]:
-                return True
-    if p + 2 <= s.r:
-        for x, y in ((0, 1), (1, 0)):
-            if iv(p)[x] == iv(p + 2)[x] and iv(p + 2 - 2 * e)[y] < iv(p + 2 * e)[y]:
-                return True
-    return False
-
-
-def prime_factor_decomposition(s: Snake) -> list[Snake]:
-    """Greedy left-to-right split into prime factors; concatenation recovers s."""
-    c = classify(s)
-    if not c.stable:
-        raise PreconditionError("snake is not stable: %s" % s)
-    out = []
-    rest = s
-    while True:
-        cut = next((p for p in range(1, rest.r)
-                    if classify(rest.subsnake(1, p)).prime and _cut_qualifies(rest, p)),
-                   None)
-        if cut is None:
-            if not classify(rest).prime:
-                raise FalsifiedInvariantError(
-                    "no qualifying cut in non-prime snake %s" % rest)
-            out.append(rest)
-            break
-        out.append(rest.subsnake(1, cut))
-        rest = rest.subsnake(cut + 1, rest.r)
-    assert Snake(s.n, sum((f.intervals for f in out), ())) == s
-    return out
 
 
 def check_enumeration(s: Snake) -> bool:

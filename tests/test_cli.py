@@ -108,8 +108,11 @@ class TestUsageErrors:
         (),
         ("selftest", "--level", "desk"),
         ("enumerate", "--r-max", "2", "--span", "3", "--limit", "-1"),
+        ("validate", "[(0,2)] @ n=" + "9" * 5000),
+        ("validate", "[(0,%s)] @ n=3" % ("9" * 5000)),
+        ("factor", "--snake", "[(0,2)] @ n=3", "--omega", "w{0,2}^" + "9" * 5000),
     ], ids=["missing-omega", "unknown-verb", "no-verb", "selftest-level",
-            "negative-limit"])
+            "negative-limit", "long-rank", "long-endpoint", "long-exponent"])
     def test_parse_error_document(self, capsys, argv):
         code = cli.main(list(argv))
         captured = capsys.readouterr()

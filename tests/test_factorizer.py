@@ -35,11 +35,18 @@ class TestWorkedExamples:
         assert f.weight_multiset() == (w("w{-1,1} * w{0,2}", 3),)
         f = sa.factor(w("w{0,2}^2 * w{-1,1}", 3), s2)
         assert f.weight_multiset() == (w("w{-1,1} * w{0,2}", 3), w("w{0,2}", 3))
+        big = 10 ** 12
+        f = sa.factor(w("w{0,2}^%d * w{-1,1}^%d * w{-1,2}^3" % (big + 5, big), 3), s2)
+        assert [(str(d), m) for d, m in f.pairs] == [
+            ("pair[(0,2),(-1,1)]", big), ("extremal[(-1,2)]", 3),
+            ("generator[(0,2)]", 5)]
 
     def test_rank1(self):
         s = sa.parse_snake("[(0,2)] @ n=3")
         f = sa.factor(w("w{0,2}^3", 3), s)
         assert len(f) == 3
+        f = sa.factor(w("w{0,2}^%d" % 10 ** 12, 3), s)
+        assert [(str(d), m) for d, m in f.pairs] == [("generator[(0,2)]", 10 ** 12)]
 
     def test_outside_submonoid(self, sstar):
         with pytest.raises(sa.PreconditionError):
@@ -202,6 +209,9 @@ class TestCompatibility:
     def test_square_compatible(self, s2):
         f = sa.factor(w("w{0,2}", 3), s2)
         assert sa.compatible_product(f, f, s2)
+        # multiplicities are compared, not expanded
+        f = sa.factor(w("w{0,2}^%d" % 10 ** 12, 3), s2)
+        assert sa.compatible_product(f, f, s2) is True
 
     def test_identity_compatible(self, s2):
         f0 = sa.factor(MonoidElement.one(3), s2)

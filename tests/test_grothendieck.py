@@ -64,35 +64,3 @@ class TestRingElement:
         assert e.terms == ()
         assert str(e) == "0"
 
-
-class TestMultiplyClasses:
-    def test_exchange_pattern(self, s2):
-        c1 = sa.irred_class(w("w{0,2}", 3), s2)
-        c2 = sa.irred_class(w("w{-1,1}", 3), s2)
-        out = sa.multiply_classes(c1, c2, s2)
-        assert out is not None
-        assert out.coefficient(sa.irred_class(w("w{-1,1} * w{0,2}", 3), s2)) == 1
-        assert out.coefficient(sa.irred_class(w("w{-1,2} * w{0,1}", 3), s2)) == 1
-
-    def test_compatible_square(self, s2):
-        c = sa.irred_class(w("w{0,2}", 3), s2)
-        out = sa.multiply_classes(c, c, s2)
-        assert out == sa.RingElement.single(sa.irred_class(w("w{0,2}^2", 3), s2))
-
-    def test_subsnake_pattern(self, sstar):
-        head = sa.irred_class(w("w{-1,4}", 6), sstar)
-        rest = sa.irred_class(sstar.subsnake(3, 5).weight, sstar)
-        out = sa.multiply_classes(head, rest, sstar)
-        assert out is not None
-        total = head.omega * rest.omega
-        assert out.coefficient(sa.irred_class(total, sstar)) == 1
-
-    def test_undetermined(self, sstar):
-        c1 = sa.irred_class(w("w{0,6}", 6), sstar)
-        c2 = sa.irred_class(w("w{1,3}", 6), sstar)
-        out = sa.multiply_classes(c1, c2, sstar)
-        f1, f2 = sa.factor(c1.omega, sstar), sa.factor(c2.omega, sstar)
-        if sa.compatible_product(f1, f2, sstar):
-            assert out is not None
-        else:
-            assert out is None or len(out.terms) == 2

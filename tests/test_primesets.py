@@ -2,6 +2,7 @@ import pytest
 
 import snakealg as sa
 from snakealg import Interval, MonoidElement
+from snakealg.primesets import window_cuts
 
 from conftest import monomials
 
@@ -85,17 +86,21 @@ class TestWindows:
                 if d.kind == "window":
                     assert sa.classify(sa.Snake(s.n, d.intervals)).prime
 
-    def test_out_of_range_side_terms_forbidden(self, sstar):
-        r = sstar.r
+    def test_out_of_range_side_terms_forbidden(self, corpus, sstar):
         # left condition reads position p+3, right condition reads l+2
-        assert not sa.window_admissible(sstar, 1, 0, r - 1, r + 1)
-        assert not sa.window_admissible(sstar, 0, 1, -1, 1)
+        for s in corpus:
+            for (p, l, e, e2), _ in window_cuts(s):
+                assert not (e == 1 and (p < 1 or p + 3 > s.r))
+                assert not (e2 == 1 and (l < 2 or l > s.r - 2))
         with pytest.raises(sa.PreconditionError):
             sa.window_snake(sstar, 0, 1, -1, 1)
 
     def test_bad_cuts(self, sstar):
         with pytest.raises(sa.PreconditionError):
             sa.window_snake(sstar, 0, 0, 3, 3)
+        for e, e2 in ((2, 0), (0, -1)):
+            with pytest.raises(sa.PreconditionError):
+                sa.window_snake(sstar, e, e2, 0, 3)
 
 
 class TestDescriptorSets:

@@ -71,29 +71,6 @@ class TestClassify:
             assert (cs.stable, cs.connected, cs.prime) == (cr.stable, cr.connected, cr.prime)
 
 
-class TestDecomposition:
-    def test_prime_is_its_own_decomposition(self, sstar):
-        assert sa.prime_factor_decomposition(sstar) == [sstar]
-
-    def test_concatenation_recovers(self, corpus):
-        stable = [s for s in corpus if s.r >= 2][:50]
-        for s in stable:
-            parts = sa.prime_factor_decomposition(s)
-            glued = Snake(s.n, sum((f.intervals for f in parts), ()))
-            assert glued == s
-            assert all(sa.classify(f).prime for f in parts)
-
-    def test_non_prime_splits(self):
-        s = snake("[(0,4),(2,5),(0,3)] @ n=5")
-        parts = sa.prime_factor_decomposition(s)
-        assert len(parts) == 2
-        assert all(sa.classify(f).prime for f in parts)
-
-    def test_requires_stable(self):
-        with pytest.raises(sa.PreconditionError):
-            sa.prime_factor_decomposition(snake("[(0,2),(0,2)] @ n=3"))
-
-
 class TestEnumeration:
     def test_sstar(self, sstar):
         assert sa.check_enumeration(sstar)
