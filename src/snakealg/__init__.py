@@ -9,8 +9,7 @@ from .errors import (FalsifiedInvariantError, NotAlternatingError, ParseError,
 from .explorer import (CorpusSpec, enumerate_snakes, oracle_factorizations,
                        random_snake)
 from .factorizer import Factorization, compatible_product, factor
-from .grothendieck import (ExchangeTriple, IrredClass, RingElement,
-                           exchange_triple, irred_class)
+from .grothendieck import ExchangeTriple, IrredClass, exchange_triple, irred_class
 from .heightmap import (HeightProfile, cluster_export, fr_xi, height_profile,
                         interval_set_xi, n_of, p_sequence, pr_bijection,
                         pr_xi, snake_of_xi, window_image)

@@ -8,6 +8,7 @@ construction and equality is syntactic.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -110,14 +111,6 @@ class MonoidElement:
                 acc[iv] = have - e
         return MonoidElement(self.n, tuple(sorted(acc.items())))
 
-    def divides(self, other: "MonoidElement") -> bool:
-        return other.quotient(self) is not None
-
-    def pow(self, k: int) -> "MonoidElement":
-        if k < 0:
-            raise PreconditionError("negative power")
-        return MonoidElement(self.n, tuple((iv, e * k) for iv, e in self.exps) if k else ())
-
     @property
     def ht(self) -> int:
         return sum(e for _, e in self.exps)
@@ -142,10 +135,6 @@ class MonoidElement:
         return MonoidElement(
             self.n, tuple(sorted((iv.reflect(), e) for iv, e in self.exps)))
 
-    def translate(self, t: int) -> "MonoidElement":
-        return MonoidElement(
-            self.n, tuple(sorted((iv.translate(t), e) for iv, e in self.exps)))
-
     # -- text form ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -157,13 +146,19 @@ class MonoidElement:
         return " * ".join(parts)
 
 
+# digits a parsed number keeps free below the interpreter's limit on int/str
+# conversion, so that sums of one text's numbers can still be printed
+_SPARE_DIGITS = 100
+
+
 def _int(digits: str) -> int:
-    """int(digits); a digit run past the interpreter's conversion limit is a
-    parse error."""
-    try:
-        return int(digits)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    """int(digits); a digit run within _SPARE_DIGITS of the interpreter's
+    conversion limit, when one is set, is a parse error."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(digits) > limit - _SPARE_DIGITS:
+        raise ParseError("a number of %d characters is too long; at most %d are read"
+                         % (len(digits), limit - _SPARE_DIGITS))
+    return int(digits)
 
 
 _GEN_RE = re.compile(r"^w\{(-?\d+),(-?\d+)\}(?:\^(\d+))?$")
@@ -222,11 +217,6 @@ class Snake:
         if not 1 <= p <= l <= self.r:
             raise PreconditionError("bad slice %d..%d of length %d" % (p, l, self.r))
         return Snake(self.n, self.intervals[p - 1:l])
-
-    def concat(self, other: "Snake") -> "Snake":
-        if self.n != other.n:
-            raise PreconditionError("rank mismatch")
-        return Snake(self.n, self.intervals + other.intervals)
 
     @property
     def weight(self) -> MonoidElement:

@@ -22,7 +22,7 @@ from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
 from .primesets import (PrimeDescriptor, descriptor_index, generator_intervals,
                         window_cuts)
-from .snakes import per_snake, require_prime
+from .snakes import crossed, per_snake, require_prime
 
 
 @per_snake
@@ -35,24 +35,26 @@ def snake_context(s: Snake) -> "SnakeContext":
 class SnakeContext:
     """Everything the ledger needs to know about one prime snake.
 
-    ``coords`` interns the generators, then any other interval of a
-    descriptor weight, to indices; an element is a list of exponents over
-    them.  ``alphabet`` lists the descriptors in canonical order, so sorting
-    descriptor indices sorts factors.
+    ``coords`` interns the generators to indices; an element is a list of
+    exponents over them, and so is every descriptor weight.  ``alphabet``
+    lists the descriptors in canonical order, so sorting descriptor indices
+    sorts factors.
     """
 
     def __init__(self, s: Snake):
         self.snake = s
         eps0 = require_prime(s).eps[0]
-        gens = generator_intervals(s)
         self.alphabet = tuple(sorted(descriptor_index(s).values(),
                                      key=lambda d: (-d.weight.ht, d.weight.exps)))
-        extra = {iv for d in self.alphabet for iv in d.weight.support} - gens
-        self.coords = tuple(sorted(gens)) + tuple(sorted(extra))
-        self.ngens = len(gens)
+        self.coords = tuple(sorted(generator_intervals(s)))
         self.pos = {iv: k for k, iv in enumerate(self.coords)}
-        self.exps = tuple(tuple((self.pos[iv], e) for iv, e in d.weight.exps)
-                          for d in self.alphabet)
+        try:
+            self.exps = tuple(tuple((self.pos[iv], e) for iv, e in d.weight.exps)
+                              for d in self.alphabet)
+        except KeyError as exc:
+            raise FalsifiedInvariantError(
+                "descriptor weight interval %s is not a generator of %s"
+                % (exc.args[0], s)) from None
         self.index = {key: k for k, key in enumerate(self.exps)}
         self.head = _head_generators(s, eps0) if s.r >= 3 else None
         self._links: dict[str, _Link] = {}
@@ -82,17 +84,12 @@ class SnakeContext:
             raise PreconditionError("rank mismatch: %d vs %d" % (w.n, self.snake.n))
         v = [0] * len(self.coords)
         for iv, e in w.exps:
-            k = self.gen_index(iv)
+            k = self.pos.get(iv)
             if k is None:
                 raise PreconditionError(
                     "element %s is outside the submonoid of %s" % (w, self.snake))
             v[k] = e
         return v
-
-    def gen_index(self, iv: Interval) -> int | None:
-        """The index of a generator; None for any other interval."""
-        k = self.pos.get(iv)
-        return k if k is not None and k < self.ngens else None
 
     def element(self, v) -> MonoidElement:
         return MonoidElement.from_pairs(self.snake.n, zip(self.coords, v))
@@ -146,9 +143,9 @@ class SnakeContext:
         tail_gens = generator_intervals(s.subsnake(2, s.r))
         self.nontail = [k for k, iv in enumerate(self.coords) if iv not in tail_gens]
         self.i1, self.i3, self.i22 = self.pos[g1], self.pos[g3], self.pos[g22]
-        self.i4 = self.gen_index(g4)
-        self.i23 = self.gen_index(g23)
-        self.i2 = None if g2 in tail_gens else self.gen_index(g2)
+        self.i4 = self.pos.get(g4)
+        self.i23 = self.pos.get(g23)
+        self.i2 = None if g2 in tail_gens else self.pos.get(g2)
         self.p4 = self._peel(g4)
         self.p3_22, self.p3 = self._peel(g3, g22), self._peel(g3)
         self.p1_23, self.p23 = self._peel(g1, g23), self._peel(g23)
@@ -299,10 +296,11 @@ def _head_generators(s: Snake, e1: int) -> tuple[Interval, ...]:
     e1.  Those at e1 = 1 are the reflections of those of the reflected snake
     at e1 = 0."""
     iv = s.iv
+    g2, g4 = crossed(iv(1 + e1), iv(2 - e1))
     return (iv(1),
-            Interval(iv(1 + e1).i, iv(2 - e1).j),
+            g2,
             Interval(iv(1 + 2 * e1).i, iv(3 - 2 * e1).j),
-            Interval(iv(2 - e1).i, iv(1 + e1).j),
+            g4,
             iv(2),
             Interval(iv(2 + e1).i, iv(3 - e1).j))
 
@@ -316,7 +314,7 @@ class _Link:
         self.ctx = ctx
         self.parent_snake = parent.snake
         self.parent_coords = parent.coords
-        self.cmap = [ctx.gen_index(iv) for iv in parent.coords]
+        self.cmap = [ctx.pos.get(iv) for iv in parent.coords]
         self.lift = [parent.find(d.weight.exps) for d in ctx.alphabet]
         # whether a descriptor carries the first interval of the child: g2
         # for ŝ, g22 for the tail

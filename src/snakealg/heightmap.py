@@ -111,18 +111,21 @@ def interval_set_xi(h: HeightProfile) -> frozenset[Interval]:
 
 
 @per_snake
-def snake_of_xi(s: Snake) -> Snake:
-    """The snake of rank N read off the height profile, position by position."""
-    require_boundary(s)
+def _induced(s: Snake) -> tuple[Interval, ...]:
+    """The intervals read off the height profile of s, position by position:
+    position m reads height position p_(r+1-m), shifted down by eps_m."""
     h = height_profile(s)
     eps = epsilon_sequence(s)
-    r = s.r
-    parts = []
-    for m in range(1, r + 1):
-        t = h.p_seq[r - m]
-        e = eps[m - 1]
-        parts.append(Interval(h.i_xi(t) - e, h.j_xi(t) - e))
-    out = Snake(h.N, tuple(parts))
+    return tuple(Interval(h.i_xi(t) - e, h.j_xi(t) - e)
+                 for t, e in zip(reversed(h.p_seq), eps))
+
+
+@per_snake
+def snake_of_xi(s: Snake) -> Snake:
+    """The snake of rank N read off the height profile."""
+    require_boundary(s)
+    h = height_profile(s)
+    out = Snake(h.N, _induced(s))
     if not classify(out).prime:
         raise FalsifiedInvariantError("induced snake %s of %s is not prime" % (out, s))
     if not is_boundary(out):
@@ -138,27 +141,21 @@ def snake_of_xi(s: Snake) -> Snake:
 
 
 def _omega_pp(h: HeightProfile, m: int, l: int) -> MonoidElement:
-    eps = epsilon_sequence(h.snake)
+    """The product of the induced intervals read at height positions p_m..p_l."""
     r = h.snake.r
-    pairs = []
-    for k in range(m, l + 1):
-        e = eps[r - k]
-        t = h.p_seq[k - 1]
-        pairs.append((Interval(h.i_xi(t) - e, h.j_xi(t) - e), 1))
-    return MonoidElement.from_pairs(h.N, pairs)
+    ivs = _induced(h.snake)[r - l:r - m + 1]
+    return MonoidElement.from_pairs(h.N, ((iv, 1) for iv in ivs))
 
 
 def _pgen(h: HeightProfile, a_idx: int, b_idx: int) -> MonoidElement:
-    """Boundary correction generator: endpoints read at two positions, each
-    shifted by the alternation bit of its own position."""
-    eps = epsilon_sequence(h.snake)
+    """Boundary correction generator: the left end of the induced interval
+    read at p_a and the right end of the one read at p_b."""
     r = h.snake.r
     if not (1 <= a_idx <= r and 1 <= b_idx <= r):
         raise FalsifiedInvariantError(
             "correction position (%d,%d) out of range for %s" % (a_idx, b_idx, h.snake))
-    ta, tb = h.p_seq[a_idx - 1], h.p_seq[b_idx - 1]
-    iv = Interval(h.i_xi(ta) - eps[r - a_idx], h.j_xi(tb) - eps[r - b_idx])
-    return MonoidElement.generator(iv, h.N)
+    ivs = _induced(h.snake)
+    return MonoidElement.generator(Interval(ivs[r - a_idx].i, ivs[r - b_idx].j), h.N)
 
 
 def _bracket(h: HeightProfile, t: int, t2: int) -> tuple[int, int]:
@@ -206,12 +203,10 @@ def window_image(s: Snake, t: int, t2: int) -> MonoidElement:
 def pr_xi(s: Snake) -> frozenset[MonoidElement]:
     h = height_profile(s)
     out = set()
-    for t in range(1, h.N + 1):
-        for d in (0, 1):
-            w = MonoidElement.generator(
-                Interval(h.i_xi(t) - d, h.j_xi(t) - d), h.N)
-            if not w.is_one:
-                out.add(w)
+    for iv in interval_set_xi(h):
+        w = MonoidElement.generator(iv, h.N)
+        if not w.is_one:
+            out.add(w)
     for t in range(1, h.N + 1):
         for t2 in range(t + 1, h.N + 1):
             w = omega_pair(h, t, t2)

@@ -69,10 +69,6 @@ class SnakeIso:
         m = self.mapping
         return MonoidElement.from_pairs(self.target.n, ((m[iv], e) for iv, e in w.exps))
 
-    def inverse(self) -> "SnakeIso":
-        return SnakeIso(self.target, self.source,
-                        tuple(sorted((b, a) for a, b in self.pairs)))
-
 
 def build_iso(s: Snake, t: Snake) -> SnakeIso:
     """The index-wise generator bijection; fails loudly if any generator has

@@ -9,8 +9,8 @@ from typing import Iterator
 
 from .core import Interval, MonoidElement, Snake, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
-from .snakes import (both_ends_differ, classify, epsilon_sequence, is_boundary,
-                     linked, pair_rank, per_snake, require_prime)
+from .snakes import (both_ends_differ, classify, crossed, epsilon_sequence,
+                     is_boundary, linked, pair_rank, per_snake, require_prime)
 
 
 @per_snake
@@ -53,7 +53,7 @@ def generator_intervals(s: Snake) -> frozenset[Interval]:
         return interval_set(s)
     if s.r == 2:
         a, b = s.iv(1), s.iv(2)
-        cands = (a, b, Interval(a.i, b.j), Interval(b.i, a.j))
+        cands = (a, b) + crossed(a, b)
         return frozenset(iv for iv in cands if not is_trivial(iv, s.n))
     return frozenset({s.iv(1)})
 
@@ -71,9 +71,7 @@ def closure_check(s: Snake) -> bool:
         for small in ivs:
             if not (linked(small, big) and pair_rank(small, big) <= s.n):
                 continue
-            if Interval(big.i, small.j) not in tilde:
-                return False
-            if Interval(small.i, big.j) not in tilde:
+            if not tilde.issuperset(crossed(big, small)):
                 return False
     return True
 
@@ -184,9 +182,8 @@ def fr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     if r == 1:
         return ()
     if r == 2:
-        return _descriptors(s.n, (("pair", (iv(1), iv(2))),
-                                  ("extremal", (Interval(iv(1).i, iv(2).j),)),
-                                  ("extremal", (Interval(iv(2).i, iv(1).j),))))
+        return _descriptors(s.n, [("pair", (iv(1), iv(2)))]
+                            + [("extremal", (c,)) for c in crossed(iv(1), iv(2))])
     eps = epsilon_sequence(s)
     e1, er = eps[0], eps[-1]
     entries = [("extremal", (Interval(s.i_min, s.j_max),)),

@@ -46,6 +46,11 @@ def pair_rank(a: Interval, b: Interval) -> int:
     return max(a.j, b.j) - min(a.i, b.i) - 1
 
 
+def crossed(a: Interval, b: Interval) -> tuple[Interval, Interval]:
+    """The two intervals that exchange the right endpoints of a and b."""
+    return Interval(a.i, b.j), Interval(b.i, a.j)
+
+
 def both_ends_differ(a: Interval, b: Interval) -> bool:
     """Neither the left nor the right endpoints of a and b coincide."""
     return a.i != b.i and a.j != b.j

@@ -6,6 +6,9 @@ from snakealg import MonoidElement, cli, parse_monoid_element
 
 S2 = "[(0,2),(-1,1)] @ n=3"
 SSTAR = "[(0,6),(-1,4),(2,5),(1,3),(3,4)] @ n=6"
+# as many nines as Python's default limit on int/str conversion allows; the
+# sum of two such numbers can no longer be printed
+NINES = "9" * 4300
 
 
 def run(capsys, *argv):
@@ -80,7 +83,9 @@ class TestHugeExponents:
           "w{0,2}^99999999999999999999999 * w{-1,1}"), 3),
         (("iso", "--source", S2, "--target", "[(0,3),(-2,1)] @ n=5",
           "--omega", "w{0,2}^99999999999"), 0),
-    ], ids=["rank1-power", "rank2-power", "iso-power"])
+        (("factor", "--snake", "[(0,2)] @ n=3", "--omega",
+          "w{0,2}^%s * w{0,2}^%s" % ("9" * 4000, "9" * 4000)), 3),
+    ], ids=["rank1-power", "rank2-power", "iso-power", "long-sum"])
     def test_one_document(self, capsys, argv, expected):
         code = cli.main(list(argv))
         out = capsys.readouterr().out
@@ -111,8 +116,14 @@ class TestUsageErrors:
         ("validate", "[(0,2)] @ n=" + "9" * 5000),
         ("validate", "[(0,%s)] @ n=3" % ("9" * 5000)),
         ("factor", "--snake", "[(0,2)] @ n=3", "--omega", "w{0,2}^" + "9" * 5000),
+        ("factor", "--snake", "[(0,2)] @ n=3", "--omega",
+         "w{0,2}^%s * w{0,2}^%s" % (NINES, NINES)),
+        ("factor", "--snake", S2, "--omega", "w{0,2}^%s * w{-1,1}^%s" % (NINES, NINES)),
+        ("iso", "--source", S2, "--target", "[(0,3),(-2,1)] @ n=5",
+         "--omega", "w{0,2}^%s * w{0,2}^%s" % (NINES, NINES)),
     ], ids=["missing-omega", "unknown-verb", "no-verb", "selftest-level",
-            "negative-limit", "long-rank", "long-endpoint", "long-exponent"])
+            "negative-limit", "long-rank", "long-endpoint", "long-exponent",
+            "long-sum-factor", "long-sum-height", "long-sum-iso"])
     def test_parse_error_document(self, capsys, argv):
         code = cli.main(list(argv))
         captured = capsys.readouterr()

@@ -16,11 +16,6 @@ class TestExchangeS2:
         assert sorted(str(c.omega) for c in t.term2_components) == [
             "w{-1,2}", "w{0,1}"]
 
-    def test_right_side_sum(self, s2):
-        t = sa.exchange_triple(s2)
-        assert t.right.coefficient(t.term1) == 1
-        assert t.right.coefficient(t.term2) == 1
-
 
 class TestExchangeGeneral:
     def test_weight_conservation(self, corpus):
@@ -50,17 +45,4 @@ class TestExchangeGeneral:
     def test_needs_length_two(self):
         with pytest.raises(sa.PreconditionError):
             sa.exchange_triple(sa.parse_snake("[(0,2)] @ n=3"))
-
-
-class TestRingElement:
-    def test_addition_merges(self, s2):
-        c = sa.irred_class(w("w{0,2}", 3), s2)
-        e = sa.RingElement.single(c) + sa.RingElement.single(c)
-        assert e.coefficient(c) == 2
-
-    def test_cancellation(self, s2):
-        c = sa.irred_class(w("w{0,2}", 3), s2)
-        e = sa.RingElement.from_terms([(c, 1), (c, -1)])
-        assert e.terms == ()
-        assert str(e) == "0"
 
