@@ -225,9 +225,6 @@ class Snake:
     def reflect(self) -> "Snake":
         return Snake(self.n, tuple(iv.reflect() for iv in self.intervals))
 
-    def translate(self, t: int) -> "Snake":
-        return Snake(self.n, tuple(iv.translate(t) for iv in self.intervals))
-
     @property
     def i_min(self) -> int:
         return min(iv.i for iv in self.intervals)

@@ -34,6 +34,11 @@ class CorpusSpec:
         bad = set(self.filters) - {"stable", "connected", "prime", "boundary"}
         if bad:
             raise PreconditionError("unknown filters: %s" % sorted(bad))
+        if self.n_range is not None and not (
+                isinstance(self.n_range, tuple) and len(self.n_range) == 2
+                and all(type(n) is int for n in self.n_range)):
+            raise PreconditionError(
+                "n_range must be None or a pair of integers, got %r" % (self.n_range,))
 
 
 def _admits(step: Step, filters) -> bool:
@@ -76,16 +81,35 @@ def _alphabet(spec: CorpusSpec) -> list[Interval]:
             for j in range(i + 1, spec.span + 1)]
 
 
+def _nested(alphabet: list[Interval]) -> dict[Interval, list[Interval]]:
+    """Each interval's sub-intervals, in alphabet order.
+
+    ``extend`` rejects every interval that does not nest in the interval two
+    back, so past a prefix of length 2 only these candidates can survive.
+    """
+    return {o: [iv for iv in alphabet if o.i <= iv.i < iv.j <= o.j]
+            for o in alphabet}
+
+
 def enumerate_snakes(spec: CorpusSpec) -> Iterator[Snake]:
     """Every snake meeting the spec, translation-normalized, exactly once,
-    in deterministic order."""
+    in deterministic order: depth first, children in alphabet order.
+
+    Every prefix kept is stable, so position k >= 3 nests in position k - 2.
+    Hence a prefix of length >= 2 is extended only by sub-intervals of its
+    second-to-last interval, and the least left end lies at position 1 or 2:
+    a normalized search stops below a length-2 prefix that misses 0 there.
+    """
     alphabet = _alphabet(spec)
+    nested = _nested(alphabet)
 
     def walk(prefix: tuple[Interval, ...], bit: int | None) -> Iterator[tuple[Interval, ...]]:
         yield prefix
-        if len(prefix) == spec.r_max:
+        if len(prefix) == spec.r_max or (
+                spec.translation_normalized and len(prefix) == 2
+                and 0 not in (prefix[0].i, prefix[1].i)):
             return
-        for iv in alphabet:
+        for iv in nested[prefix[-2]] if len(prefix) >= 2 else alphabet:
             step = extend(prefix, bit, iv)
             if _admits(step, spec.filters):
                 yield from walk(prefix + (iv,), step.bit)
@@ -123,11 +147,13 @@ def random_snake(seed: int, spec: CorpusSpec, budget: int = 20000) -> Snake:
     """Deterministic rejection sampler over the spec."""
     rng = random.Random(seed)
     alphabet = _alphabet(spec)
+    nested = _nested(alphabet)
     for _ in range(budget):
         r = rng.randint(1, spec.r_max)
         ivs, bit = (rng.choice(alphabet),), None
         while len(ivs) < r:
-            steps = [(iv, step) for iv in alphabet
+            candidates = nested[ivs[-2]] if len(ivs) >= 2 else alphabet
+            steps = [(iv, step) for iv in candidates
                      if _admits(step := extend(ivs, bit, iv), spec.filters)]
             if not steps:
                 break

@@ -31,6 +31,11 @@ def small_corpus():
     return tuple(sa.enumerate_snakes(spec))
 
 
+def translated(s, t):
+    """s moved t places along the line, at the same rank."""
+    return sa.Snake(s.n, tuple(iv.translate(t) for iv in s.intervals))
+
+
 def boundary(s):
     return s.j_max - s.i_min == s.n + 1 and s.j_min == s.i_max
 

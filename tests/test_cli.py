@@ -215,6 +215,12 @@ class TestEnumerate:
         code, doc = run(capsys, "enumerate", "--r-max", "9", "--span", "4")
         assert code == 3
 
+    def test_reversed_range_is_empty(self, capsys):
+        code, doc = run(capsys, "enumerate", "--r-max", "3", "--span", "5",
+                        "--n-lo", "5", "--n-hi", "2")
+        assert code == 0
+        assert doc == {"count": 0, "snakes": []}
+
 
 class TestSelftest:
     def test_passes(self, capsys):

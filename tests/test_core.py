@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 import snakealg as sa
 from snakealg import Interval, MonoidElement, Snake
 
+from conftest import translated
+
 
 def gen(i, j, n=6):
     return MonoidElement.generator(Interval(i, j), n)
@@ -141,4 +143,4 @@ class TestSnake:
 
     def test_reflect_translate(self, s2):
         assert s2.reflect().intervals == (Interval(-2, 0), Interval(-1, 1))
-        assert s2.translate(2).intervals == (Interval(2, 4), Interval(1, 3))
+        assert translated(s2, 2).intervals == (Interval(2, 4), Interval(1, 3))

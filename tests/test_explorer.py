@@ -1,8 +1,15 @@
+from itertools import chain
+
 import pytest
 
 import snakealg as sa
+from snakealg import explorer
+from snakealg.snakes import extend
 
 from conftest import boundary
+
+FILTER_SETS = [(), ("stable",), ("connected",), ("prime",), ("boundary",),
+               ("prime", "boundary")]
 
 
 class TestCorpusSpec:
@@ -19,6 +26,16 @@ class TestCorpusSpec:
     def test_unknown_filter(self):
         with pytest.raises(sa.PreconditionError):
             sa.CorpusSpec(r_max=3, span=5, filters=frozenset({"shiny"}))
+
+    @pytest.mark.parametrize("n_range", [(1,), (1, 2, 3), (1.5, 3), (2, "5"),
+                                         (True, 3), [2, 5], 4], ids=repr)
+    def test_malformed_n_range(self, n_range):
+        with pytest.raises(sa.PreconditionError):
+            sa.CorpusSpec(r_max=3, span=5, n_range=n_range)
+
+    def test_reversed_n_range_is_empty(self):
+        spec = sa.CorpusSpec(r_max=3, span=5, n_range=(5, 2))
+        assert list(sa.enumerate_snakes(spec)) == []
 
 
 class TestEnumeration:
@@ -71,6 +88,39 @@ class TestEnumeration:
         plain = sa.CorpusSpec(r_max=2, span=4)
         brute = {s for s in sa.enumerate_snakes(plain) if sa.classify(s).prime}
         assert got == brute
+
+
+def reference_walk(spec):
+    """The unpruned search: every alphabet interval tried at every depth,
+    translation normalization applied only to the finished prefixes."""
+    alphabet = explorer._alphabet(spec)
+
+    def walk(prefix, bit):
+        yield prefix
+        if len(prefix) == spec.r_max:
+            return
+        for iv in alphabet:
+            step = extend(prefix, bit, iv)
+            if explorer._admits(step, spec.filters):
+                yield from walk(prefix + (iv,), step.bit)
+
+    for ivs in chain.from_iterable(walk((iv,), None) for iv in alphabet):
+        if spec.translation_normalized and min(iv.i for iv in ivs) != 0:
+            continue
+        for n in explorer._candidate_ranks(ivs, spec):
+            s = sa.Snake(n, ivs)
+            if explorer._passes(s, spec.filters):
+                yield s
+
+
+class TestPrunedWalk:
+    @pytest.mark.parametrize("n_range", [None, (2, 5)], ids=["all-ranks", "n2-5"])
+    @pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "raw"])
+    @pytest.mark.parametrize("filters", FILTER_SETS, ids=lambda f: "+".join(f) or "unfiltered")
+    def test_same_list_as_unpruned_walk(self, filters, normalized, n_range):
+        for r_max, span in ((1, 3), (2, 4), (3, 5), (4, 6)):
+            spec = sa.CorpusSpec(r_max, span, n_range, normalized, frozenset(filters))
+            assert list(sa.enumerate_snakes(spec)) == list(reference_walk(spec)), spec
 
 
 class TestOracle:

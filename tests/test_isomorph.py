@@ -3,7 +3,7 @@ import pytest
 import snakealg as sa
 from snakealg import Interval
 
-from conftest import monomials
+from conftest import monomials, translated
 
 
 def w(text, n):
@@ -27,7 +27,7 @@ class TestConditions:
 
     def test_translation(self, corpus):
         for s in corpus[:100]:
-            assert sa.check_iso_conditions(s, s.translate(3))
+            assert sa.check_iso_conditions(s, translated(s, 3))
 
     def test_rank1_always(self):
         a = sa.parse_snake("[(0,2)] @ n=3")
@@ -48,7 +48,7 @@ class TestBuildIso:
             sa.build_iso(s2, s2.reflect())
 
     def test_translation_iso_is_translation(self, sstar):
-        iso = sa.build_iso(sstar, sstar.translate(2))
+        iso = sa.build_iso(sstar, translated(sstar, 2))
         for a, b in iso.pairs:
             assert b == a.translate(2)
 
@@ -61,7 +61,7 @@ class TestBuildIso:
 class TestTransport:
     def test_translation_pairs(self, small_corpus):
         for s in small_corpus:
-            iso = sa.build_iso(s, s.translate(1))
+            iso = sa.build_iso(s, translated(s, 1))
             for m in monomials(s, 3):
                 assert sa.transport_check(iso, m)
 

@@ -1,9 +1,8 @@
 import pytest
 
 import snakealg as sa
-from snakealg import Interval, Snake
 
-from conftest import boundary
+from conftest import boundary, translated
 
 
 def snake(text):
@@ -62,8 +61,7 @@ class TestClassify:
 
     def test_translation_invariance(self, small_corpus):
         for s in small_corpus:
-            t = s.translate(2)
-            assert sa.classify(Snake(s.n, t.intervals)) == sa.classify(s)
+            assert sa.classify(translated(s, 2)) == sa.classify(s)
 
     def test_reflection_equivariance(self, small_corpus):
         for s in small_corpus:
