@@ -81,16 +81,6 @@ def _alphabet(spec: CorpusSpec) -> list[Interval]:
             for j in range(i + 1, spec.span + 1)]
 
 
-def _nested(alphabet: list[Interval]) -> dict[Interval, list[Interval]]:
-    """Each interval's sub-intervals, in alphabet order.
-
-    ``extend`` rejects every interval that does not nest in the interval two
-    back, so past a prefix of length 2 only these candidates can survive.
-    """
-    return {o: [iv for iv in alphabet if o.i <= iv.i < iv.j <= o.j]
-            for o in alphabet}
-
-
 def enumerate_snakes(spec: CorpusSpec) -> Iterator[Snake]:
     """Every snake meeting the spec, translation-normalized, exactly once,
     in deterministic order: depth first, children in alphabet order.
@@ -101,7 +91,10 @@ def enumerate_snakes(spec: CorpusSpec) -> Iterator[Snake]:
     a normalized search stops below a length-2 prefix that misses 0 there.
     """
     alphabet = _alphabet(spec)
-    nested = _nested(alphabet)
+    # each interval's sub-intervals, in alphabet order: ``extend`` rejects
+    # every other interval past a prefix of length 2
+    nested = {o: [iv for iv in alphabet if o.i <= iv.i < iv.j <= o.j]
+              for o in alphabet}
 
     def walk(prefix: tuple[Interval, ...], bit: int | None) -> Iterator[tuple[Interval, ...]]:
         yield prefix
@@ -147,13 +140,11 @@ def random_snake(seed: int, spec: CorpusSpec, budget: int = 20000) -> Snake:
     """Deterministic rejection sampler over the spec."""
     rng = random.Random(seed)
     alphabet = _alphabet(spec)
-    nested = _nested(alphabet)
     for _ in range(budget):
         r = rng.randint(1, spec.r_max)
         ivs, bit = (rng.choice(alphabet),), None
         while len(ivs) < r:
-            candidates = nested[ivs[-2]] if len(ivs) >= 2 else alphabet
-            steps = [(iv, step) for iv in candidates
+            steps = [(iv, step) for iv in alphabet
                      if _admits(step := extend(ivs, bit, iv), spec.filters)]
             if not steps:
                 break

@@ -1,12 +1,15 @@
 """Paired benchmark runs of two git refs, each from a clean export.
 
     python3 tools/benchpair.py --base REF --change REF --out BENCH.json \
-        [--workloads sweep tall atlas cli] [--pairs 2] [--seeds 1 ...] [--seconds 25]
+        [--workloads sweep tall atlas cli] [--pairs 10] [--seeds 1 ...]
 
 For every workload, seed and pair, each ref is exported with ``git archive``
 into a fresh directory, ``perfbench/run.py --trace 0`` runs there, and the
-export is removed. A clean export holds no byte code and no ``perfbench/out`` from an
-earlier run, so both sides start alike. The two sides alternate in the order
+export is removed. A clean export holds no byte code and no ``perfbench/out``
+from an earlier run, so both sides start alike. Both sides run the same
+benchmark: the change's ``perfbench/`` and ``BENCHMARK.json`` replace the
+base's in the base export, and every run lasts the ``run_seconds`` of the
+change's ``BENCHMARK.json``. The two sides alternate in the order
 base, change, change, base, ... so that a slow drift of the machine falls on
 both. The output file holds, per workload and side, the median and quartiles
 of every end-to-end metric that ``BENCHMARK.json`` names, the count of pairs
@@ -32,6 +35,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ["sweep", "tall", "atlas", "cli"]
+BENCH_PATHS = ["perfbench", "BENCHMARK.json"]
 
 
 def git(*args: str) -> str:
@@ -39,9 +43,9 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def export(commit: str, dest: Path) -> None:
-    data = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", commit],
-                          check=True, capture_output=True).stdout
+def export(commit: str, dest: Path, paths: list[str] = ()) -> None:
+    data = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", commit,
+                           *paths], check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         if hasattr(tarfile, "data_filter"):
             tar.extractall(dest, filter="data")
@@ -49,11 +53,16 @@ def export(commit: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
-def run_once(commit: str, workload: str, seed: int, seconds: int, scratch: Path) -> dict:
-    """One untraced perfbench run in a fresh export of ``commit``."""
+def run_once(commit: str, bench_commit: str, workload: str, seed: int, seconds: int,
+             scratch: Path) -> dict:
+    """One untraced run of ``bench_commit``'s perfbench in a fresh export of ``commit``."""
     dest = Path(tempfile.mkdtemp(prefix="benchpair-", dir=scratch))
     try:
         export(commit, dest)
+        if commit != bench_commit:
+            shutil.rmtree(dest / "perfbench", ignore_errors=True)
+            (dest / "BENCHMARK.json").unlink(missing_ok=True)
+            export(bench_commit, dest, BENCH_PATHS)
         t0 = time.monotonic()
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -111,9 +120,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="the ref measured as after")
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
-    ap.add_argument("--pairs", type=int, default=2)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
-    ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--scratch", type=Path, default=None,
                     help="where the exports go (default: the system temp dir)")
     args = ap.parse_args(argv)
@@ -121,12 +129,16 @@ def main(argv=None) -> int:
         ap.error("--pairs must be >= 1")
     commits = {side: git("rev-parse", "--verify", ref + "^{commit}")
                for side, ref in (("base", args.base), ("change", args.change))}
-    bench = json.loads((REPO / "BENCHMARK.json").read_text())
+    bench = json.loads(git("show", commits["change"] + ":BENCHMARK.json"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     doc = {
         "base": {"ref": args.base, "commit": commits["base"]},
         "change": {"ref": args.change, "commit": commits["change"]},
-        "seconds": args.seconds,
+        "benchmark_from": commits["change"],
+        "base_benchmark_differs": bool(git("diff", "--name-only", commits["base"],
+                                           commits["change"], "--", *BENCH_PATHS)),
+        "seconds": seconds,
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "processor": platform.processor()},
         "results": [],
@@ -137,7 +149,8 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for side in order:
-                    run = run_once(commits[side], workload, seed, args.seconds, args.scratch)
+                    run = run_once(commits[side], commits["change"], workload, seed,
+                                   seconds, args.scratch)
                     run.update(pair=pair, side=side)
                     runs.append(run)
                     print("%s seed %d pair %d %-6s exit %d  %s ops/s" % (
