@@ -16,7 +16,7 @@ from .heightmap import (HeightProfile, cluster_export, fr_xi, height_profile,
 from .isomorph import SnakeIso, build_iso, check_iso_conditions, transport_check
 from .primesets import (PrimeDescriptor, closure_check, descriptor_index,
                         fr_set, generator_intervals, interval_set, pr_set,
-                        submonoid_member, tilde_interval_set, window_snake)
+                        tilde_interval_set, window_snake)
 from .snakes import (SnakeClassification, check_enumeration, classify,
                      epsilon_sequence, require_prime)
 

@@ -16,6 +16,11 @@ from .snakes import Step, classify, extend, is_boundary, pair_rank
 
 SPAN_CAP = 12
 R_CAP = 7
+# largest rank an n_range may ask for: the alphabet's intervals are at most
+# SPAN_CAP long, so every rank from SPAN_CAP on classifies them alike
+N_CAP = SPAN_CAP + 1
+# draws random_snake makes before it gives up
+DRAW_BUDGET = 20000
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,9 @@ class CorpusSpec:
                 and all(type(n) is int for n in self.n_range)):
             raise PreconditionError(
                 "n_range must be None or a pair of integers, got %r" % (self.n_range,))
+        if self.n_range is not None and self.n_range[1] > N_CAP:
+            raise PreconditionError(
+                "n_range %r reaches past the rank cap %d" % (self.n_range, N_CAP))
 
 
 def _admits(step: Step, filters) -> bool:
@@ -136,11 +144,14 @@ def oracle_factorizations(w: MonoidElement, s: Snake, cap: int = 4):
     return [tuple(sol) for sol in rec(w, 0)]
 
 
-def random_snake(seed: int, spec: CorpusSpec, budget: int = 20000) -> Snake:
+def random_snake(seed: int, spec: CorpusSpec) -> Snake:
     """Deterministic rejection sampler over the spec."""
+    if spec.n_range is not None and max(spec.n_range[0], 1) > spec.n_range[1]:
+        raise PreconditionError(
+            "n_range %r holds no rank n >= 1 to sample" % (spec.n_range,))
     rng = random.Random(seed)
     alphabet = _alphabet(spec)
-    for _ in range(budget):
+    for _ in range(DRAW_BUDGET):
         r = rng.randint(1, spec.r_max)
         ivs, bit = (rng.choice(alphabet),), None
         while len(ivs) < r:

@@ -32,19 +32,16 @@ def n_of(s: Snake) -> int:
 
 
 def p_sequence(s: Snake) -> tuple[int, ...]:
-    require_prime(s)
+    N = n_of(s)
     r = s.r
-    if r < 3:
-        raise PreconditionError("height translation needs length >= 3")
     p = [1, 2]
     for m in range(2, r - 1):
         step = 2 if both_ends_differ(s.iv(r - m + 2), s.iv(r - m - 1)) else 1
         p.append(p[-1] + step)
     p.append(p[-1] + 1)
-    if p[-1] != n_of(s):
+    if p[-1] != N:
         raise FalsifiedInvariantError(
-            "final position %d differs from target rank %d for %s"
-            % (p[-1], n_of(s), s))
+            "final position %d differs from target rank %d for %s" % (p[-1], N, s))
     return tuple(p)
 
 
@@ -69,8 +66,8 @@ class HeightProfile:
 
 @per_snake
 def height_profile(s: Snake) -> HeightProfile:
-    N = n_of(s)
     p = p_sequence(s)
+    N = p[-1]
     eps = epsilon_sequence(s)
     r = s.r
     vals: dict[int, int] = {p[r - 1]: p[r - 1]}
@@ -93,15 +90,6 @@ def height_profile(s: Snake) -> HeightProfile:
     return HeightProfile(s, N, p, xi)
 
 
-def require_boundary(s: Snake) -> None:
-    """The translation back to a snake needs the extremal coincidences; the
-    induced snake always has them, so the matching conditions force them on
-    the source as well."""
-    if not is_boundary(s):
-        raise PreconditionError(
-            "snake %s does not have the boundary shape required here" % s)
-
-
 def interval_set_xi(h: HeightProfile) -> frozenset[Interval]:
     out = set()
     for t in range(1, h.N + 1):
@@ -122,8 +110,12 @@ def _induced(s: Snake) -> tuple[Interval, ...]:
 
 @per_snake
 def snake_of_xi(s: Snake) -> Snake:
-    """The snake of rank N read off the height profile."""
-    require_boundary(s)
+    """The snake of rank N read off the height profile.  It needs the
+    extremal coincidences: the induced snake always has them, so the matching
+    conditions force them on the source as well."""
+    if not is_boundary(s):
+        raise PreconditionError(
+            "snake %s does not have the boundary shape required here" % s)
     h = height_profile(s)
     out = Snake(h.N, _induced(s))
     if not classify(out).prime:
@@ -227,6 +219,7 @@ def fr_xi(s: Snake) -> frozenset[MonoidElement]:
     return frozenset(out)
 
 
+@per_snake
 def height_iso(s: Snake) -> SnakeIso:
     return build_iso(snake_of_xi(s), s)
 
@@ -235,14 +228,15 @@ def pr_bijection(s: Snake) -> dict[MonoidElement, MonoidElement]:
     """Map the height-side prime elements onto the prime descriptor weights."""
     iso = height_iso(s)
     image = {}
+    got = set()
     for w in pr_xi(s):
         img = iso.eta(w)
-        if img in image.values():
+        if img in got:
             raise FalsifiedInvariantError(
                 "prime element image collision at %s for %s" % (w, s))
+        got.add(img)
         image[w] = img
     targets = {d.weight for d in pr_set(s)}
-    got = set(image.values())
     if got != targets:
         raise FalsifiedInvariantError(
             "prime element images of %s mismatch: missing %s, extra %s"
@@ -252,10 +246,6 @@ def pr_bijection(s: Snake) -> dict[MonoidElement, MonoidElement]:
 
 def cluster_export(s: Snake) -> dict:
     """JSON-ready summary of the induced cluster structure."""
-    require_prime(s)
-    if s.r < 3:
-        raise PreconditionError("height translation needs length >= 3")
-    require_boundary(s)
     h = height_profile(s)
     bij = pr_bijection(s)
     iso = height_iso(s)
@@ -263,7 +253,7 @@ def cluster_export(s: Snake) -> dict:
         "type": "A_%d" % h.N,
         "N": h.N,
         "snake": str(s),
-        "height_snake": str(snake_of_xi(s)),
+        "height_snake": str(iso.source),
         "xi": list(h.xi),
         "p_seq": list(h.p_seq),
         "exchangeable": sorted(str(w) for w in pr_xi(s)),

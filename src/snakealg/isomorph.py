@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import Interval, MonoidElement, Snake, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
 from .factorizer import factor
-from .primesets import generator_intervals, interval_set, submonoid_member
+from .primesets import generator_intervals, interval_set
 from .snakes import epsilon_sequence, require_prime
 
 
@@ -62,11 +62,13 @@ class SnakeIso:
         return dict(self.pairs)
 
     def eta(self, w: MonoidElement) -> MonoidElement:
-        """Generator-wise image of a submonoid element."""
-        if not submonoid_member(w, self.source):
+        """Generator-wise image of a submonoid element.  The map's keys are
+        the generators of the source (``build_iso`` checks it), so an element
+        is in the submonoid exactly when the map holds its support."""
+        m = self.mapping
+        if not all(iv in m for iv in w.support):
             raise PreconditionError(
                 "element %s is outside the submonoid of %s" % (w, self.source))
-        m = self.mapping
         return MonoidElement.from_pairs(self.target.n, ((m[iv], e) for iv, e in w.exps))
 
 

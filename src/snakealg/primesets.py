@@ -58,11 +58,6 @@ def generator_intervals(s: Snake) -> frozenset[Interval]:
     return frozenset({s.iv(1)})
 
 
-def submonoid_member(w: MonoidElement, s: Snake) -> bool:
-    gens = generator_intervals(s)
-    return all(iv in gens for iv in w.support)
-
-
 def closure_check(s: Snake) -> bool:
     """Connected pairs inside the set exchange endpoints within the set."""
     ivs = interval_set(s)

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from snakealg import MonoidElement, cli, parse_monoid_element
+import snakealg as sa
+from snakealg import MonoidElement, cli, heightmap, parse_monoid_element
+from snakealg.explorer import R_CAP
+
+from conftest import boundary
 
 S2 = "[(0,2),(-1,1)] @ n=3"
 SSTAR = "[(0,6),(-1,4),(2,5),(1,3),(3,4)] @ n=6"
@@ -192,6 +200,19 @@ class TestCluster:
         assert doc["type"] == "A_6"
         assert len(doc["correspondence"]) == 27
 
+    @pytest.mark.parametrize("snake, message", [
+        ("[(0,2),(0,2)] @ n=3", "snake is not prime: [(0,2),(0,2)] @ n=3"),
+        (S2, "height translation needs length >= 3"),
+        ("[(0,4),(2,5),(1,3)] @ n=4", "snake [(0,4),(2,5),(1,3)] @ n=4 does not "
+         "have the boundary shape required here"),
+        (SSTAR.replace("n=6", "n=9"), "snake [(0,6),(-1,4),(2,5),(1,3),(3,4)] "
+         "@ n=9 does not have the boundary shape required here"),
+    ], ids=["not-prime", "length-2", "not-boundary", "sstar-n9"])
+    def test_errors(self, capsys, snake, message):
+        code, doc = run(capsys, "cluster", snake)
+        assert code == 3
+        assert doc == {"error": "precondition", "message": message}
+
 
 class TestEnumerate:
     def test_small(self, capsys):
@@ -227,3 +248,115 @@ class TestSelftest:
         code, doc = run(capsys, "selftest")
         assert code == 0
         assert all(v > 0 for v in doc["passed"].values())
+
+
+# Prime snakes of every length up to R_CAP, boundary ones among them, that
+# the contract test starts from before it changes their ranks.
+_SEEDS = [S2, SSTAR, "[(0,2)] @ n=3"] + [
+    str(sa.random_snake(seed, sa.CorpusSpec(R_CAP, 11, filters=frozenset({f}))))
+    for seed in range(3) for f in ("prime", "boundary")]
+# each seed's generators, and the snakes it has an isomorphism to
+_GENERATORS = {text: sorted(sa.generator_intervals(sa.parse_snake(text)))
+               for text in _SEEDS}
+_TARGETS = {text: [text] + ([str(heightmap.snake_of_xi(sa.parse_snake(text)))]
+                            if sa.parse_snake(text).r >= 3
+                            and boundary(sa.parse_snake(text)) else [])
+            for text in _SEEDS}
+_INTERVALS = sorted(set().union(*_GENERATORS.values()))
+
+huge = st.sampled_from([2**63, 10**20, -10**20, int(NINES)])
+small = st.integers(-3, 14)
+ints = st.one_of(small, small, small, huge)
+ranks = st.one_of(small, small, huge)
+# text that is neither a snake nor an element, and no help flag: --help
+# prints usage and exits 0 by design (TestUsageErrors.test_help_unchanged)
+junk = st.text(max_size=24).filter(lambda t: not t.startswith(("-h", "--h")))
+seed = st.sampled_from(_SEEDS)
+snake_text = st.one_of(
+    seed, seed,
+    st.builds(lambda text, n: text.rsplit("=", 1)[0] + "=%d" % n, seed, ranks),
+    st.builds(lambda ivs, n: "[%s] @ n=%d" % (",".join("(%d,%d)" % iv for iv in ivs), n),
+              st.lists(st.tuples(ints, ints), min_size=1, max_size=R_CAP), ranks),
+    junk)
+exponent = st.one_of(st.integers(0, 3), st.integers(0, 3), huge)
+
+
+def omega_text(intervals):
+    """Elements over the given intervals, sometimes with a stray one, or junk."""
+    interval = st.one_of(st.sampled_from(intervals), st.sampled_from(intervals),
+                         st.tuples(ints, ints))
+    return st.one_of(
+        st.just("1"),
+        st.builds(lambda terms: " * ".join("w{%d,%d}^%d" % (i, j, e)
+                                           for (i, j), e in terms),
+                  st.lists(st.tuples(interval, exponent), min_size=1, max_size=4)),
+        junk)
+
+
+def _factor(text):
+    return st.builds(lambda s, w: ["factor", "--snake", s, "--omega", w],
+                     st.one_of(st.just(text), snake_text), omega_text(_GENERATORS[text]))
+
+
+def _iso(text):
+    return st.builds(lambda t, w: ["iso", "--source", text, "--target", t]
+                     + ([] if w is None else ["--omega", w]),
+                     st.one_of(st.sampled_from(_TARGETS[text]), snake_text),
+                     st.none() | omega_text(_GENERATORS[text]))
+
+
+def _enumerate(r_max, width, n_lo, n_hi, filters, limit):
+    argv = ["enumerate", "--r-max", str(r_max), "--span", str(width)]
+    for flag, value in (("--n-lo", n_lo), ("--n-hi", n_hi), ("--limit", limit)):
+        if value is not None:
+            argv += [flag, str(value)]
+    for f in filters:
+        argv += ["--filter", f]
+    return argv
+
+
+# small corpus bounds keep each enumeration to a fraction of a second; the
+# other values lie outside the CorpusSpec caps
+r_max = st.one_of(st.integers(1, 3), st.sampled_from([-1, 0, R_CAP + 1, 10**20]))
+width = st.one_of(st.sampled_from([1, 4, 6]), st.sampled_from([-1, 0, 13, 10**20]))
+rank_bound = st.none() | st.integers(-2, 15) | huge
+filters = st.lists(st.sampled_from(["stable", "connected", "prime", "boundary", "shiny"]),
+                   max_size=2)
+
+_ARGVS = {
+    verb: st.builds(lambda s, verb=verb: [verb, s], snake_text)
+    for verb in ("validate", "sets", "exchange", "height", "cluster")}
+_ARGVS.update({
+    "factor": seed.flatmap(_factor),
+    "iso": seed.flatmap(_iso),
+    "enumerate": st.builds(_enumerate, r_max, width, rank_bound, rank_bound, filters,
+                           st.none() | st.sampled_from([-1, 0, 3])),
+    "selftest": st.just(["selftest"]),
+    "junk": st.lists(junk, max_size=4),
+})
+argvs = st.sampled_from(sorted(_ARGVS)).flatmap(_ARGVS.__getitem__)
+
+
+class TestContract:
+    """Every argv ends in exactly one JSON document and exit 0, 2, 3 or 4."""
+
+    @staticmethod
+    def check(argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(argv)
+        text = out.getvalue()
+        doc, end = json.JSONDecoder().raw_decode(text)
+        assert text[end:] == "\n"
+        assert isinstance(doc, dict)
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True)
+    @given(argvs)
+    def test_one_document(self, argv):
+        self.check(argv)
+
+    # enumerate has the most options to combine
+    @settings(max_examples=150, deadline=timedelta(seconds=2), derandomize=True)
+    @given(_ARGVS["enumerate"])
+    def test_enumerate_one_document(self, argv):
+        self.check(argv)

@@ -37,6 +37,12 @@ class TestCorpusSpec:
         spec = sa.CorpusSpec(r_max=3, span=5, n_range=(5, 2))
         assert list(sa.enumerate_snakes(spec)) == []
 
+    def test_rank_cap(self):
+        sa.CorpusSpec(r_max=3, span=5, n_range=(-10**20, explorer.N_CAP))
+        for n_range in ((1, explorer.N_CAP + 1), (10**20, 10**20)):
+            with pytest.raises(sa.PreconditionError, match="rank cap"):
+                sa.CorpusSpec(r_max=3, span=5, n_range=n_range)
+
 
 class TestEnumeration:
     def test_deterministic_and_duplicate_free(self):
@@ -152,3 +158,14 @@ class TestRandomSnake:
             s = sa.random_snake(seed, spec)
             assert sa.classify(s).prime
             assert s.r <= 4 and s.j_max <= 7 and s.i_min == 0
+
+    @pytest.mark.parametrize("n_range", [(5, 2), (-3, 0)])
+    def test_empty_rank_range(self, n_range, monkeypatch):
+        spec = sa.CorpusSpec(3, 6, n_range=n_range, filters=frozenset({"prime"}))
+
+        def no_draw(*args):
+            raise AssertionError("random_snake drew on an empty rank range")
+
+        monkeypatch.setattr(explorer, "extend", no_draw)
+        with pytest.raises(sa.PreconditionError, match="holds no rank"):
+            sa.random_snake(0, spec)

@@ -1,7 +1,7 @@
 import pytest
 
 import snakealg as sa
-from snakealg import heightmap as hm
+from snakealg import heightmap as hm, snakes
 
 from conftest import boundary
 
@@ -145,3 +145,16 @@ class TestClusterExport:
         s = sa.parse_snake("[(0,4),(2,5),(1,3)] @ n=4")
         with pytest.raises(sa.PreconditionError):
             hm.cluster_export(s)
+
+    def test_builds_one_iso(self, sstar, monkeypatch):
+        calls = []
+
+        def counted(s, t):
+            calls.append((s, t))
+            return build_iso(s, t)
+
+        build_iso = hm.build_iso
+        monkeypatch.setattr(hm, "build_iso", counted)
+        snakes._memo.cache_clear()
+        hm.cluster_export(sstar)
+        assert calls == [(hm.snake_of_xi(sstar), sstar)]

@@ -12,6 +12,8 @@ from snakealg import heightmap as hm
 from conftest import boundary
 
 SAMPLE = 250
+# seeded submonoid elements per boundary snake for the transport check
+TRANSPORTED = 4
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +46,21 @@ def test_invariants_on_long_snakes(long_snakes):
         if boundary(s):
             hm.cluster_export(s)
             assert boundary(hm.snake_of_xi(s)), str(s)
+
+
+@pytest.mark.slow
+def test_height_round_trip_on_long_snakes(long_snakes):
+    rng = random.Random(7)
+    for s in long_snakes:
+        if not boundary(s):
+            continue
+        t = hm.snake_of_xi(s)
+        assert hm.snake_of_xi(t) == t, str(s)
+        assert sa.interval_set(t) == hm.interval_set_xi(hm.height_profile(s)), str(s)
+        assert len(hm.pr_bijection(s)) == len(sa.pr_set(s)), str(s)
+        iso = hm.height_iso(s)
+        gens = sorted(sa.generator_intervals(t))
+        for _ in range(TRANSPORTED):
+            w = sa.MonoidElement.from_pairs(
+                t.n, ((rng.choice(gens), rng.randint(1, 3)) for _ in range(3)))
+            assert sa.transport_check(iso, w), (str(s), str(w))

@@ -4,7 +4,6 @@ import snakealg as sa
 from snakealg import Interval, MonoidElement
 from snakealg.primesets import window_cuts
 
-from conftest import monomials
 
 SSTAR_TILDE = {(-1, 4), (-1, 5), (-1, 6), (0, 4), (0, 5), (0, 6), (1, 3),
                (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)}
@@ -160,13 +159,3 @@ class TestDescriptorSets:
             for fn in (sa.pr_set, sa.fr_set):
                 got = {d.weight.reflect() for d in fn(s)}
                 assert got == {d.weight for d in fn(s.reflect())}
-
-
-class TestSubmonoid:
-    def test_membership(self, sstar):
-        assert sa.submonoid_member(w("w{0,6} * w{1,3}"), sstar)
-        assert not sa.submonoid_member(w("w{0,3}"), sstar)
-
-    def test_monomials_stay_members(self, s2):
-        for m in monomials(s2, 3):
-            assert sa.submonoid_member(m, s2)
