@@ -92,14 +92,14 @@ def _cmd_exchange(args) -> int:
 def _cmd_iso(args) -> int:
     s = parse_snake(args.source)
     t = parse_snake(args.target)
+    w = None if args.omega is None else parse_monoid_element(args.omega, s.n)
     ok = isomorph.check_iso_conditions(s, t)
     doc = {"source": str(s), "target": str(t), "conditions": ok}
     if ok:
         iso = isomorph.build_iso(s, t)
         doc["map"] = sorted(
             [[a.i, a.j], [b.i, b.j]] for a, b in iso.pairs)
-        if args.omega is not None:
-            w = parse_monoid_element(args.omega, s.n)
+        if w is not None:
             doc["omega"] = str(w)
             doc["eta"] = str(iso.eta(w))
             doc["transport"] = isomorph.transport_check(iso, w)

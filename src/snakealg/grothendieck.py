@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .core import MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
 from .factorizer import factor
-from .snakes import both_ends_differ, crossed, epsilon_sequence, require_prime
+from .snakes import both_ends_differ, crossed, require_prime
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,10 @@ def _raw_endpoints(intervals):
 
 def exchange_triple(s: Snake) -> ExchangeTriple:
     """The relation: head class times tail class = snake class + crossed class."""
-    require_prime(s)
+    e1 = require_prime(s).eps[0]
     if s.r < 2:
         raise PreconditionError("exchange needs length >= 2")
     n = s.n
-    e1 = epsilon_sequence(s)[0]
     g1 = MonoidElement.generator(s.iv(1), n)
     tailw = _tail_weight(s, 2)
     left = (irred_class(g1, s), irred_class(tailw, s))

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
-from .isomorph import SnakeIso, build_iso, check_iso_conditions
+from .isomorph import SnakeIso, build_iso
 from .primesets import interval_set, pr_set, window_snake
-from .snakes import (both_ends_differ, classify, epsilon_sequence, is_boundary,
-                     per_snake, require_prime)
+from .snakes import both_ends_differ, classify, is_boundary, per_snake, require_prime
 
 
 def n_of(s: Snake) -> int:
@@ -68,7 +67,7 @@ class HeightProfile:
 def height_profile(s: Snake) -> HeightProfile:
     p = p_sequence(s)
     N = p[-1]
-    eps = epsilon_sequence(s)
+    eps = require_prime(s).eps
     r = s.r
     vals: dict[int, int] = {p[r - 1]: p[r - 1]}
     for m in range(r - 1, 0, -1):
@@ -103,16 +102,21 @@ def _induced(s: Snake) -> tuple[Interval, ...]:
     """The intervals read off the height profile of s, position by position:
     position m reads height position p_(r+1-m), shifted down by eps_m."""
     h = height_profile(s)
-    eps = epsilon_sequence(s)
+    eps = require_prime(s).eps
     return tuple(Interval(h.i_xi(t) - e, h.j_xi(t) - e)
                  for t, e in zip(reversed(h.p_seq), eps))
 
 
-@per_snake
 def snake_of_xi(s: Snake) -> Snake:
-    """The snake of rank N read off the height profile.  It needs the
-    extremal coincidences: the induced snake always has them, so the matching
-    conditions force them on the source as well."""
+    """The snake of rank N read off the height profile (see ``height_iso``)."""
+    return height_iso(s).source
+
+
+@per_snake
+def height_iso(s: Snake) -> SnakeIso:
+    """The generator-wise isomorphism onto s from the snake of rank N read off
+    the height profile.  It needs the extremal coincidences: the induced snake
+    always has them, so the matching conditions force them on s as well."""
     if not is_boundary(s):
         raise PreconditionError(
             "snake %s does not have the boundary shape required here" % s)
@@ -122,14 +126,16 @@ def snake_of_xi(s: Snake) -> Snake:
         raise FalsifiedInvariantError("induced snake %s of %s is not prime" % (out, s))
     if not is_boundary(out):
         raise FalsifiedInvariantError("induced snake %s misses the boundary shape" % out)
-    if not check_iso_conditions(s, out):
-        raise FalsifiedInvariantError(
-            "induced snake %s fails the matching conditions against %s" % (out, s))
+    try:
+        iso = build_iso(out, s)
+    except PreconditionError:
+        raise FalsifiedInvariantError("induced snake %s fails the matching conditions "
+                                      "against %s" % (out, s)) from None
     if interval_set(out) != interval_set_xi(h):
         raise FalsifiedInvariantError(
             "interval sets disagree for %s: %s vs %s"
             % (s, sorted(interval_set(out)), sorted(interval_set_xi(h))))
-    return out
+    return iso
 
 
 def _omega_pp(h: HeightProfile, m: int, l: int) -> MonoidElement:
@@ -164,7 +170,7 @@ def _bracket(h: HeightProfile, t: int, t2: int) -> tuple[int, int]:
 def omega_pair(h: HeightProfile, t: int, t2: int) -> MonoidElement:
     """The indexing element attached to a pair of height positions t < t2."""
     m, l = _bracket(h, t, t2)
-    eps = epsilon_sequence(h.snake)
+    eps = require_prime(h.snake).eps
     r = h.snake.r
     p = h.p_seq
     if m > l or not p[l - 1] <= t2 or (l < r and not t2 < p[l]):
@@ -217,11 +223,6 @@ def fr_xi(s: Snake) -> frozenset[MonoidElement]:
         if not w.is_one:
             out.add(w)
     return frozenset(out)
-
-
-@per_snake
-def height_iso(s: Snake) -> SnakeIso:
-    return build_iso(snake_of_xi(s), s)
 
 
 def pr_bijection(s: Snake) -> dict[MonoidElement, MonoidElement]:

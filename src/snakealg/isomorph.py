@@ -12,41 +12,29 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Interval, MonoidElement, Snake, is_trivial
+from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
 from .factorizer import factor
-from .primesets import generator_intervals, interval_set
-from .snakes import epsilon_sequence, require_prime
+from .primesets import generator_intervals
+from .snakes import require_prime
 
 
 def check_iso_conditions(s: Snake, t: Snake) -> bool:
-    require_prime(s)
-    require_prime(t)
-    if s.r != t.r:
+    es, et = require_prime(s).eps, require_prime(t).eps
+    if s.r != t.r or es[0] != et[0]:
         return False
     r = s.r
-    if r == 1:
-        return True
-    if epsilon_sequence(s)[0] != epsilon_sequence(t)[0]:
-        return False
-    if r == 2:
-        for m, l in ((1, 1), (2, 2), (1, 2), (2, 1)):
-            a = Interval(s.iv(m).i, s.iv(l).j)
-            b = Interval(t.iv(m).i, t.iv(l).j)
-            if is_trivial(a, s.n) != is_trivial(b, t.n):
-                return False
-        return True
     for m in range(2, r - 1):
         if (s.iv(m - 1).i == s.iv(m + 2).i) != (t.iv(m - 1).i == t.iv(m + 2).i):
             return False
         if (s.iv(m - 1).j == s.iv(m + 2).j) != (t.iv(m - 1).j == t.iv(m + 2).j):
             return False
-    ivs, ivt = interval_set(s), interval_set(t)
+    gens_s, gens_t = generator_intervals(s), generator_intervals(t)
     for m in range(1, r + 1):
         for l in range(1, r + 1):
             a = Interval(s.iv(m).i, s.iv(l).j)
             b = Interval(t.iv(m).i, t.iv(l).j)
-            if (a in ivs) != (b in ivt):
+            if (a in gens_s) != (b in gens_t):
                 return False
     return True
 

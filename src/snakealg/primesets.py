@@ -5,21 +5,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator
 
 from .core import Interval, MonoidElement, Snake, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
-from .snakes import (both_ends_differ, classify, crossed, epsilon_sequence,
-                     is_boundary, linked, pair_rank, per_snake, require_prime)
+from .snakes import (both_ends_differ, classify, crossed, is_boundary, linked,
+                     pair_rank, per_snake, require_prime)
 
 
 @per_snake
 def tilde_interval_set(s: Snake) -> frozenset[Interval]:
     """All [i_p, j_q] with q in the four-position window around p."""
-    require_prime(s)
+    eps = require_prime(s).eps
     if s.r < 3:
         raise PreconditionError("interval windows need length >= 3")
-    eps = epsilon_sequence(s)
     out = set()
     for p in range(1, s.r + 1):
         e = eps[p - 1]
@@ -77,7 +75,7 @@ def _side_terms(s: Snake) -> tuple[dict[int, Interval], dict[int, Interval]]:
     l.  A cut that is missing forbids the side term.  In particular, a side
     condition whose reference position (p + 3 or l + 2) falls off the snake
     forbids it; such windows duplicate frozen pairs weight-for-weight."""
-    eps = epsilon_sequence(s)
+    eps = require_prime(s).eps
     iv = s.iv
     left, right = {}, {}
     for p in range(1, s.r - 2):
@@ -91,46 +89,42 @@ def _side_terms(s: Snake) -> tuple[dict[int, Interval], dict[int, Interval]]:
     return left, right
 
 
-def _window(s: Snake, left, right, p: int, l: int, e: int, e2: int) -> Snake:
-    """The window of an admissible cut, with the side terms of s, checked to
-    be prime."""
-    parts = s.intervals[p + 1:l]
-    if e:
-        parts = (left[p],) + parts
-    if e2:
-        parts = parts + (right[l],)
-    snake = Snake(s.n, parts)
-    if not classify(snake).prime:
-        raise FalsifiedInvariantError(
-            "window e=%d e2=%d p=%d l=%d of %s materialized non-prime %s"
-            % (e, e2, p, l, s, snake))
-    return snake
-
-
-def window_cuts(s: Snake) -> Iterator[tuple[tuple[int, int, int, int],
-                                             tuple[Interval, ...]]]:
+@per_snake
+def window_cuts(s: Snake) -> tuple[tuple[tuple[int, int, int, int],
+                                         tuple[Interval, ...]], ...]:
     """The admissible window cuts (p, l, e, e2) of s with the intervals of
-    each window, in descriptor order."""
+    each window, in descriptor order: the slice at positions p+2..l, with the
+    side term of s on the left when e = 1 and on the right when e2 = 1.
+    Each window is checked to be prime."""
     left, right = _side_terms(s)
+    out = []
     for p in range(-1, s.r - 1):
         for l in range(p + 2, s.r + 1):
             for e in (0, 1) if p in left else (0,):
                 for e2 in (0, 1) if l in right else (0,):
-                    yield (p, l, e, e2), _window(s, left, right, p, l, e, e2).intervals
+                    head = (left[p],) if e else ()
+                    tail = (right[l],) if e2 else ()
+                    snake = Snake(s.n, head + s.intervals[p + 1:l] + tail)
+                    if not classify(snake).prime:
+                        raise FalsifiedInvariantError(
+                            "window e=%d e2=%d p=%d l=%d of %s materialized non-prime %s"
+                            % (e, e2, p, l, s, snake))
+                    out.append(((p, l, e, e2), snake.intervals))
+    return tuple(out)
 
 
 def window_snake(s: Snake, e: int, e2: int, p: int, l: int) -> Snake:
-    """The slice at positions p+2..l, optionally extended by one synthetic
-    interval on each side.  The result is always prime."""
+    """The window of s at cuts (p, l, e, e2) (see ``window_cuts``).  The
+    result is always prime."""
     require_prime(s)
     if not (e in (0, 1) and e2 in (0, 1) and -1 <= p and p + 2 <= l <= s.r):
         raise PreconditionError("bad window cuts e=%d e2=%d p=%d l=%d for r=%d"
                                 % (e, e2, p, l, s.r))
-    left, right = _side_terms(s)
-    if (e and p not in left) or (e2 and l not in right):
+    ivs = dict(window_cuts(s)).get((p, l, e, e2))
+    if ivs is None:
         raise PreconditionError(
             "inadmissible window e=%d e2=%d p=%d l=%d for %s" % (e, e2, p, l, s))
-    return _window(s, left, right, p, l, e, e2)
+    return Snake(s.n, ivs)
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,7 @@ def pr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
 
 @per_snake
 def fr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
-    require_prime(s)
+    eps = require_prime(s).eps
     r = s.r
     iv = s.iv
     if r == 1:
@@ -179,7 +173,6 @@ def fr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     if r == 2:
         return _descriptors(s.n, [("pair", (iv(1), iv(2)))]
                             + [("extremal", (c,)) for c in crossed(iv(1), iv(2))])
-    eps = epsilon_sequence(s)
     e1, er = eps[0], eps[-1]
     entries = [("extremal", (Interval(s.i_min, s.j_max),)),
                ("extremal", (Interval(s.i_max, s.j_min),)),

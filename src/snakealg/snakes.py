@@ -10,7 +10,7 @@ from typing import NamedTuple
 from .core import Interval, Snake, is_trivial
 from .errors import NotAlternatingError, PreconditionError
 
-# snakes whose derived data (alternation bits, interval and descriptor sets,
+# snakes whose derived data (interval sets, window table, descriptor sets,
 # height profile, factorizer context) are kept, least recently used first out
 SNAKE_MEMO_SIZE = 1024
 # classifications kept; classify sees every enumeration candidate and window
@@ -120,9 +120,9 @@ def _closed(bits: list[int]) -> tuple[int, ...]:
     return tuple(bits) + (1 - bits[-1],) if bits else (0,)
 
 
-@per_snake
 def epsilon_sequence(s: Snake) -> tuple[int, ...]:
-    """The alternation bits, one per position.
+    """The alternation bits, one per position, of any alternating snake; a
+    prime snake has them as ``classify(s).eps``.
 
     Bit p belongs to the pair at positions p, p + 1 (see ``extend``).
     """
@@ -173,11 +173,10 @@ def require_prime(s: Snake) -> SnakeClassification:
 
 def check_enumeration(s: Snake) -> bool:
     """Verify the interleaving chains and the four extremal positions."""
-    require_prime(s)
+    eps = require_prime(s).eps
     r = s.r
     if r == 1:
         return True
-    eps = epsilon_sequence(s)
     iv = s.iv
 
     def ok(chain, chain_val):

@@ -179,6 +179,15 @@ class TestIso:
         assert doc["conditions"] is False
         assert "map" not in doc
 
+    def test_bad_omega_when_unmatched(self, capsys):
+        # the element is read before the conditions are decided, so a bad
+        # one is a parse error whether or not they hold
+        code, doc = run(capsys, "iso", "--source", S2,
+                        "--target", "[(-2,0),(-1,1)] @ n=3",
+                        "--omega", "not an element")
+        assert code == 2
+        assert doc == {"error": "parse", "message": "bad generator 'not an element'"}
+
 
 class TestHeight:
     def test_sstar(self, capsys):

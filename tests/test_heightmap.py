@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 
 import snakealg as sa
-from snakealg import heightmap as hm, snakes
+from snakealg import heightmap as hm, isomorph, primesets, snakes
 
 from conftest import boundary
 
@@ -158,3 +160,21 @@ class TestClusterExport:
         snakes._memo.cache_clear()
         hm.cluster_export(sstar)
         assert calls == [(hm.snake_of_xi(sstar), sstar)]
+
+    def test_derives_each_fact_once(self, sstar, monkeypatch):
+        calls = []
+        check = isomorph.check_iso_conditions
+
+        def counted(s, t):
+            calls.append((s, t))
+            return check(s, t)
+
+        # every module that binds the check calls the counting one
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("snakealg") and getattr(mod, "check_iso_conditions",
+                                                       None) is check:
+                monkeypatch.setattr(mod, "check_iso_conditions", counted)
+        snakes._memo.cache_clear()
+        hm.cluster_export(sstar)
+        assert len(calls) == 1
+        assert primesets.window_cuts(sstar) is primesets.window_cuts(sstar)

@@ -1,7 +1,7 @@
 import pytest
 
 import snakealg as sa
-from snakealg import Interval
+from snakealg import Interval, is_trivial
 
 from conftest import monomials, translated
 
@@ -33,6 +33,29 @@ class TestConditions:
         a = sa.parse_snake("[(0,2)] @ n=3")
         b = sa.parse_snake("[(0,5)] @ n=6")
         assert sa.check_iso_conditions(a, b)
+
+    def test_short_snakes_follow_triviality_rule(self, small_corpus):
+        """Up to length 2 the generators are the non-trivial intervals at the
+        four positions, so the membership pattern is the triviality pattern."""
+        def triviality_rule(s, t):
+            if s.r == 1:
+                return True
+            if sa.classify(s).eps[0] != sa.classify(t).eps[0]:
+                return False
+            return all(is_trivial(Interval(s.iv(m).i, s.iv(l).j), s.n)
+                       == is_trivial(Interval(t.iv(m).i, t.iv(l).j), t.n)
+                       for m, l in ((1, 1), (2, 2), (1, 2), (2, 1)))
+
+        short = [s for s in small_corpus if s.r <= 2]
+        assert len(short) == 76
+        pairs = [(s, t) for s in short for t in short if s.r == t.r]
+        assert len(pairs) == 4936
+        for s, t in pairs:
+            assert sa.check_iso_conditions(s, t) == triviality_rule(s, t), (str(s), str(t))
+        # pairs that only the triviality pattern tells apart
+        assert sum(1 for s, t in pairs if s.r == 2
+                   and sa.classify(s).eps[0] == sa.classify(t).eps[0]
+                   and not triviality_rule(s, t)) == 1200
 
 
 class TestBuildIso:

@@ -14,6 +14,10 @@ from conftest import boundary
 SAMPLE = 250
 # seeded submonoid elements per boundary snake for the transport check
 TRANSPORTED = 4
+# the oracle and reflection checks take every ORACLE_STRIDE-th sampled snake,
+# with one seeded element of height ORACLE_HT each
+ORACLE_STRIDE = 3
+ORACLE_HT = 3
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +68,24 @@ def test_height_round_trip_on_long_snakes(long_snakes):
             w = sa.MonoidElement.from_pairs(
                 t.n, ((rng.choice(gens), rng.randint(1, 3)) for _ in range(3)))
             assert sa.transport_check(iso, w), (str(s), str(w))
+
+
+@pytest.mark.slow
+def test_oracle_and_reflection_on_long_snakes(long_snakes):
+    rng = random.Random(11)
+    checked = 0
+    for s in long_snakes[::ORACLE_STRIDE]:
+        gens = sorted(sa.generator_intervals(s))
+        w = sa.MonoidElement.from_pairs(s.n, ((rng.choice(gens), 1) for _ in range(ORACLE_HT)))
+        got = sa.factor(w, s).weight_multiset()
+        assert got in sa.oracle_factorizations(w, s, cap=ORACLE_HT), (str(s), str(w))
+        sr = s.reflect()
+        assert ({d.weight.reflect() for d in sa.pr_set(s)}
+                == {d.weight for d in sa.pr_set(sr)}), str(s)
+        assert ({d.weight.reflect() for d in sa.fr_set(s)}
+                == {d.weight for d in sa.fr_set(sr)}), str(s)
+        mirrored = sa.factor(w.reflect(), sr).weight_multiset()
+        assert sorted(x.reflect().exps for x in got) == sorted(
+            x.exps for x in mirrored), (str(s), str(w))
+        checked += 1
+    assert checked == 84
