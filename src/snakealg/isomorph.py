@@ -19,24 +19,28 @@ from .primesets import generator_intervals
 from .snakes import require_prime
 
 
-def check_iso_conditions(s: Snake, t: Snake) -> bool:
-    es, et = require_prime(s).eps, require_prime(t).eps
-    if s.r != t.r or es[0] != et[0]:
-        return False
-    r = s.r
-    for m in range(2, r - 1):
-        if (s.iv(m - 1).i == s.iv(m + 2).i) != (t.iv(m - 1).i == t.iv(m + 2).i):
-            return False
-        if (s.iv(m - 1).j == s.iv(m + 2).j) != (t.iv(m - 1).j == t.iv(m + 2).j):
-            return False
+def _match(s: Snake, t: Snake) -> list[tuple[Interval, Interval]] | None:
+    """The matching walk: the (source, target) pair at each position pair (p, q)
+    whose source interval is a generator, or None when a matching condition fails."""
+    if require_prime(s).eps[0] != require_prime(t).eps[0] or s.r != t.r:
+        return None
+    for a, b, c, d in zip(s.intervals, s.intervals[3:], t.intervals, t.intervals[3:]):
+        if (a.i == b.i, a.j == b.j) != (c.i == d.i, c.j == d.j):
+            return None
     gens_s, gens_t = generator_intervals(s), generator_intervals(t)
-    for m in range(1, r + 1):
-        for l in range(1, r + 1):
-            a = Interval(s.iv(m).i, s.iv(l).j)
-            b = Interval(t.iv(m).i, t.iv(l).j)
+    found = []
+    for sp, tp in zip(s.intervals, t.intervals):
+        for sq, tq in zip(s.intervals, t.intervals):
+            a, b = Interval(sp.i, sq.j), Interval(tp.i, tq.j)
             if (a in gens_s) != (b in gens_t):
-                return False
-    return True
+                return None
+            if a in gens_s:
+                found.append((a, b))
+    return found
+
+
+def check_iso_conditions(s: Snake, t: Snake) -> bool:
+    return _match(s, t) is not None
 
 
 @dataclass(frozen=True)
@@ -45,46 +49,40 @@ class SnakeIso:
     target: Snake
     pairs: tuple[tuple[Interval, Interval], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_map", dict(self.pairs))
+
     @property
     def mapping(self) -> dict:
-        return dict(self.pairs)
+        return dict(self._map)
 
     def eta(self, w: MonoidElement) -> MonoidElement:
-        """Generator-wise image of a submonoid element.  The map's keys are
-        the generators of the source (``build_iso`` checks it), so an element
-        is in the submonoid exactly when the map holds its support."""
-        m = self.mapping
+        """Generator-wise image of a submonoid element.  ``build_iso`` checks
+        that the map is a bijection between the generators of source and target,
+        so the support decides membership and relabelling merges nothing."""
+        if w.n != self.source.n:
+            raise PreconditionError("rank mismatch: %d vs %d" % (w.n, self.source.n))
+        m = self._map
         if not all(iv in m for iv in w.support):
             raise PreconditionError(
                 "element %s is outside the submonoid of %s" % (w, self.source))
-        return MonoidElement.from_pairs(self.target.n, ((m[iv], e) for iv, e in w.exps))
+        return MonoidElement(self.target.n, tuple(sorted((m[iv], e) for iv, e in w.exps)))
 
 
 def build_iso(s: Snake, t: Snake) -> SnakeIso:
-    """The index-wise generator bijection; fails loudly if any generator has
-    conflicting images across its position representations."""
-    if not check_iso_conditions(s, t):
+    """The index-wise generator bijection: the matching walk, then checks that
+    no generator has conflicting images and that the map is a bijection."""
+    found = _match(s, t)
+    if found is None:
         raise PreconditionError(
             "snakes %s and %s do not satisfy the matching conditions" % (s, t))
-    gens_s = generator_intervals(s)
-    gens_t = generator_intervals(t)
     m: dict[Interval, Interval] = {}
-    for p in range(1, s.r + 1):
-        for q in range(1, s.r + 1):
-            a = Interval(s.iv(p).i, s.iv(q).j)
-            if a not in gens_s:
-                continue
-            b = Interval(t.iv(p).i, t.iv(q).j)
-            if b not in gens_t:
-                raise FalsifiedInvariantError(
-                    "image %s of %s at positions (%d,%d) is not a generator of %s"
-                    % (b, a, p, q, t))
-            prev = m.get(a)
-            if prev is not None and prev != b:
-                raise FalsifiedInvariantError(
-                    "generator %s has conflicting images %s and %s" % (a, prev, b))
-            m[a] = b
-    if set(m) != set(gens_s) or set(m.values()) != set(gens_t):
+    for a, b in found:
+        prev = m.setdefault(a, b)
+        if prev != b:
+            raise FalsifiedInvariantError(
+                "generator %s has conflicting images %s and %s" % (a, prev, b))
+    if set(m) != generator_intervals(s) or set(m.values()) != generator_intervals(t):
         raise FalsifiedInvariantError(
             "generator map between %s and %s is not a bijection" % (s, t))
     if len(set(m.values())) != len(m):

@@ -89,10 +89,11 @@ def test_criterion_4_factorization_soundness():
         for w in monomials(s, 5):
             f = sa.factor(w, s)
             got = Counter()
-            for d in f.factors:
+            for d, m in f.pairs:
                 assert d.weight in index, (str(s), str(w))
-                got.update(dict(d.weight.exps))
-            assert sa.MonoidElement.from_exponents(s.n, got) == w, (str(s), str(w))
+                for iv, e in d.weight.exps:
+                    got[iv] += e * m
+            assert got == dict(w.exps), (str(s), str(w))
             total += 1
     oracle_checked = 0
     small = sa.CorpusSpec(r_max=3, span=6, filters=frozenset({"prime"}))
@@ -204,3 +205,26 @@ def test_criterion_8_exchange(corpus, s2):
         checked += 1
     report("criterion 8",
            "exchange relations conserve weight on %d snakes" % checked)
+
+
+def test_criterion_9_type_a_counts(corpus):
+    """The boundary snakes give the counts of a cluster algebra of type A_N:
+    N(N+3)/2 cluster variables, N frozen variables and 2N generators, and
+    every frozen variable is compatible with every cluster variable."""
+    snakes = [s for s in corpus if s.r >= 3 and boundary(s)]
+    for s in snakes:
+        N = hm.n_of(s)
+        assert len(sa.pr_set(s)) == N * (N + 3) // 2, str(s)
+        assert len(sa.fr_set(s)) == N, str(s)
+        assert len(sa.generator_intervals(s)) == 2 * N, str(s)
+    pairs = 0
+    for s in snakes[::25]:
+        for a in sa.fr_set(s):
+            fa = sa.factor(a.weight, s)
+            for b in sa.pr_set(s):
+                assert sa.compatible_product(fa, sa.factor(b.weight, s), s), (
+                    str(s), str(a.weight), str(b.weight))
+                pairs += 1
+    report("criterion 9",
+           "type A_N counts on %d boundary snakes, %d frozen-exchangeable pairs "
+           "compatible on %d of them" % (len(snakes), pairs, len(snakes[::25])))

@@ -80,6 +80,13 @@ class TestBuildIso:
         with pytest.raises(sa.PreconditionError):
             iso.eta(w("w{1,3}", 3))
 
+    def test_eta_refuses_other_rank(self, s2):
+        iso = sa.build_iso(s2, sa.parse_snake("[(0,3),(-2,1)] @ n=5"))
+        with pytest.raises(sa.PreconditionError, match="^rank mismatch: 7 vs 3$"):
+            iso.eta(w("w{0,2}", 7))
+        with pytest.raises(sa.PreconditionError, match="^rank mismatch: 7 vs 3$"):
+            sa.factor(w("w{0,2}", 7), s2)
+
 
 class TestTransport:
     def test_translation_pairs(self, small_corpus):
