@@ -119,12 +119,6 @@ class MonoidElement:
     def is_one(self) -> bool:
         return not self.exps
 
-    def exponent(self, iv: Interval) -> int:
-        for k, e in self.exps:
-            if k == iv:
-                return e
-        return 0
-
     @property
     def support(self) -> tuple[Interval, ...]:
         return tuple(iv for iv, _ in self.exps)

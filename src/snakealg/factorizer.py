@@ -8,15 +8,18 @@ Each snake is compiled once into a ``SnakeContext``: its generators interned
 to indices, its head generators and its descriptor alphabet keyed by integer
 exponent tuples.  The contexts the ledger hands work to (the tail and the
 extended snake ŝ) are compiled on first use, with the maps between their
-indices and the parent's.  The ledger runs on a list of exponents and peels
-the whole multiplicity of a case in one step, so its cost depends on the
-support of an element, not on its height.
+indices and the parent's.  The ledger runs on a map from index to exponent
+and peels the whole multiplicity of a case in one step, so its cost depends
+on the support of an element, not on its height.  An element over the d-th
+tail goes straight to that tail's context, and only the top-level call
+checks the weight, unless that check fails (see ``factor``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
@@ -35,10 +38,10 @@ def snake_context(s: Snake) -> "SnakeContext":
 class SnakeContext:
     """Everything the ledger needs to know about one prime snake.
 
-    ``coords`` interns the generators to indices; an element is a list of
-    exponents over them, and so is every descriptor weight.  ``alphabet``
-    lists the descriptors in canonical order, so sorting descriptor indices
-    sorts factors.
+    ``coords`` interns the generators to indices; an element maps each index
+    of its support to an exponent, and a descriptor weight is a tuple of
+    (index, exponent) pairs.  ``alphabet`` lists the descriptors in canonical
+    order, so sorting descriptor indices sorts factors.
     """
 
     def __init__(self, s: Snake):
@@ -58,6 +61,7 @@ class SnakeContext:
         self.index = {key: k for k, key in enumerate(self.exps)}
         self.head = _head_generators(s, eps0) if s.r >= 3 else None
         self._links: dict[str, _Link] = {}
+        self._jumps: dict[int, _Link] = {}
         self._windows = None
         # the ledger of this length, as a plain function so that the context
         # holds no reference to itself
@@ -79,20 +83,18 @@ class SnakeContext:
     def _peel(self, *ivs) -> tuple[int | None, tuple[Interval, ...]]:
         return self.find((iv, 1) for iv in ivs), ivs
 
-    def vector(self, w: MonoidElement) -> list[int]:
+    def vector(self, w: MonoidElement) -> dict[int, int]:
         if w.n != self.snake.n:
             raise PreconditionError("rank mismatch: %d vs %d" % (w.n, self.snake.n))
-        v = [0] * len(self.coords)
-        for iv, e in w.exps:
-            k = self.pos.get(iv)
-            if k is None:
-                raise PreconditionError(
-                    "element %s is outside the submonoid of %s" % (w, self.snake))
-            v[k] = e
-        return v
+        try:
+            return {self.pos[iv]: e for iv, e in w.exps}
+        except KeyError:
+            raise PreconditionError(
+                "element %s is outside the submonoid of %s" % (w, self.snake)) from None
 
     def element(self, v) -> MonoidElement:
-        return MonoidElement.from_pairs(self.snake.n, zip(self.coords, v))
+        return MonoidElement.from_pairs(self.snake.n,
+                                        zip(map(self.coords.__getitem__, v), v.values()))
 
     def link(self, kind: str) -> "_Link":
         """The tail context (kind "tail": positions 2..r) or the ŝ context
@@ -101,32 +103,61 @@ class SnakeContext:
         if link is None:
             s = self.snake
             if kind == "tail":
-                link = _Link(self, snake_context(s.subsnake(2, s.r)))
+                ctx = snake_context(s.subsnake(2, s.r))
             else:
-                shat = Snake(s.n, (self.head[1],) + s.intervals[2:])
-                link = _Link(self, snake_context(shat))
-            self._links[kind] = link
+                ctx = snake_context(Snake(s.n, (self.head[1],) + s.intervals[2:]))
+            link = self._links[kind] = _Link(
+                ctx, [ctx.pos.get(iv) for iv in self.coords],
+                [(self.find(d.weight.exps), d.intervals) for d in ctx.alphabet],
+                [ctx.snake.intervals[0] in d.intervals for d in ctx.alphabet])
         return link
+
+    def _jump(self, d: int) -> "_Link":
+        """The link to the d-th tail (positions d+1..r), compiled on first use: the tail
+        links on the way composed, so that a lift missing at any level stays missing."""
+        link = self._jumps.get(d)
+        if link is None:
+            link = self.link("tail")
+            for _ in range(d - 1):
+                deeper = link.ctx.link("tail")
+                link = deeper._replace(
+                    cmap=[None if c is None else deeper.cmap[c] for c in link.cmap],
+                    lift=[p if p[0] is None else link.lift[p[0]] for p in deeper.lift])
+            self._jumps[d] = link
+        return link
+
+    def _hand(self, link: "_Link", v: dict[int, int], checked: bool) -> dict[int, int]:
+        """Factor v over the context of link: by its solve if checked, else by its ledger."""
+        ctx = link.ctx
+        cv = dict(zip(map(link.cmap.__getitem__, v), v.values()))
+        if None in cv:
+            raise PreconditionError("element %s is outside the submonoid of %s"
+                                    % (self.element(v), ctx.snake))
+        if checked:
+            return ctx.solve(cv, True)
+        counts: dict[int, int] = {}
+        ctx._ledger(ctx, cv, counts, False)
+        return counts
 
     # -- the ledger ---------------------------------------------------------
 
-    def solve(self, v: list[int]) -> dict[int, int]:
+    def solve(self, v: dict[int, int], checked: bool) -> dict[int, int]:
         """Multiplicity of each descriptor in the canonical factorization of
-        the element with exponents v, checked to multiply back to v."""
+        the element v, checked to multiply back to v (checked: at every level)."""
         counts: dict[int, int] = {}
-        if any(v):
-            self._ledger(self, list(v), counts)
-        total = [0] * len(v)
+        if v:
+            self._ledger(self, dict(v), counts, checked)
+        total: dict[int, int] = {}
         for k, m in counts.items():
             for c, e in self.exps[k]:
-                total[c] += e * m
+                total[c] = total.get(c, 0) + e * m
         if total != v:
             raise FalsifiedInvariantError(
                 "weight recovery failed for %s over %s: got %s"
                 % (self.element(v), self.snake, self.element(total)))
         return counts
 
-    def _emit(self, counts, peel, m):
+    def _emit(self, counts, peel, m) -> int:
         k, ivs = peel
         if k is None:
             raise FalsifiedInvariantError(
@@ -134,36 +165,54 @@ class SnakeContext:
                 % (MonoidElement.from_pairs(self.snake.n, ((iv, 1) for iv in ivs)),
                    self.snake))
         counts[k] = counts.get(k, 0) + m
+        return k
+
+    def _take(self, v, counts, peel, m) -> None:
+        """Emit m copies of the descriptor of peel and take their weight out
+        of v, dropping every index whose exponent reaches 0."""
+        for c, e in self.exps[self._emit(counts, peel, m)]:
+            left = v.get(c, 0) - e * m
+            if left:
+                v[c] = left
+            else:
+                del v[c]
 
     def _compile_ledger(self):
         s = self.snake
         if s.r <= 2:
             return SnakeContext._greedy
         g1, g2, g3, g4, g22, g23 = self.head
-        tail_gens = generator_intervals(s.subsnake(2, s.r))
-        self.nontail = [k for k, iv in enumerate(self.coords) if iv not in tail_gens]
+        tails = [generator_intervals(s.subsnake(p, s.r)) for p in range(2, s.r)]
+        # per index, over how many tails in a row, from the first, its generator lives
+        inside, depth = set(self.coords), Counter()
+        for gens in tails:
+            inside &= gens
+            depth.update(inside)
+        self.depth = [depth[iv] for iv in self.coords]
         self.i1, self.i3, self.i22 = self.pos[g1], self.pos[g3], self.pos[g22]
         self.i4 = self.pos.get(g4)
         self.i23 = self.pos.get(g23)
-        self.i2 = None if g2 in tail_gens else self.pos.get(g2)
+        self.i2 = None if g2 in tails[0] else self.pos.get(g2)
         self.p4 = self._peel(g4)
         self.p3_22, self.p3 = self._peel(g3, g22), self._peel(g3)
         self.p1_23, self.p23 = self._peel(g1, g23), self._peel(g23)
         self.p1 = self._peel(g1)
         return SnakeContext._head
 
-    def _greedy(self, v, counts):
+    def _greedy(self, v, counts, checked):
         """The ledger for r <= 2: each descriptor in canonical order takes as
         many copies as are left.  The pair is the only descriptor of height 2,
         so it takes min(a, b) and the generators take the rest."""
         for k, exps in enumerate(self.exps):
-            m = min([v[c] // e for c, e in exps])
+            if not v.get(exps[0][0]):  # off the support
+                continue
+            m = min([v.get(c, 0) // e for c, e in exps])
             if m:
                 counts[k] = m
                 for c, e in exps:
                     v[c] -= e * m
 
-    def _head(self, v, counts):
+    def _head(self, v, counts, checked):
         """The main ledger, for r >= 3 and either first alternation bit.
 
         Each pass peels one case with its whole multiplicity.  While a run of
@@ -171,79 +220,71 @@ class SnakeContext:
         support, and with it every earlier case, is unchanged.
         """
         i1, i3, i4, i22, i23 = self.i1, self.i3, self.i4, self.i22, self.i23
-        while any(v):
-            # everything lives over the tail
-            if not any(v[k] for k in self.nontail):
-                self.link("tail").delegate(v, counts)
+        depth = self.depth.__getitem__
+        while v:
+            # everything lives over the d-th tail: straight there, or one
+            # level at a time when every level checks
+            if 0 not in map(depth, v):
+                link = self._jump(1 if checked else min(map(depth, v)))
+                for j, m in self._hand(link, v, checked).items():
+                    self._emit(counts, link.lift[j], m)
                 return
             # anti-connected extremal generator splits off freely
-            if i4 is not None and v[i4]:
-                self._emit(counts, self.p4, v[i4])
-                v[i4] = 0
+            if i4 in v:
+                self._take(v, counts, self.p4, v[i4])
                 continue
             # the long head generator: paired with the second interval while
             # both last, then alone
-            if v[i3]:
-                if v[i22]:
-                    m = min(v[i3], v[i22])
-                    self._emit(counts, self.p3_22, m)
-                    v[i22] -= m
+            if i3 in v:
+                if i22 in v:
+                    self._take(v, counts, self.p3_22, min(v[i3], v[i22]))
                 else:
-                    m = v[i3]
-                    self._emit(counts, self.p3, m)
-                v[i3] -= m
+                    self._take(v, counts, self.p3, v[i3])
                 continue
             # the deep cross generator: paired with the head interval while
             # both last, then alone
-            if i23 is not None and v[i23]:
-                if v[i1]:
-                    m = min(v[i23], v[i1])
-                    self._emit(counts, self.p1_23, m)
-                    v[i1] -= m
+            if i23 in v:
+                if i1 in v:
+                    self._take(v, counts, self.p1_23, min(v[i23], v[i1]))
                 else:
-                    m = v[i23]
-                    self._emit(counts, self.p23, m)
-                v[i23] -= m
+                    self._take(v, counts, self.p23, v[i23])
                 continue
             # extra copies of the head interval
-            if v[i1] > v[i22]:
-                self._emit(counts, self.p1, v[i1] - v[i22])
-                v[i1] = v[i22]
+            a1, a22 = v.get(i1, 0), v.get(i22, 0)
+            if a1 > a22:
+                self._take(v, counts, self.p1, a1 - a22)
                 continue
-            if self.i2 is not None and v[self.i2]:
-                self._slanted_prefix(v, counts)
+            if self.i2 in v:
+                self._slanted_prefix(v, counts, checked)
                 continue
-            self._prefix_windows(v, counts)
+            self._prefix_windows(v, counts, checked)
             return
 
-    def _slanted_prefix(self, v, counts):
+    def _slanted_prefix(self, v, counts, checked):
         """Peel the slanted prefix through the extended snake ŝ of length r-1."""
         link = self.link("shat")
-        what = list(v)
-        what[self.i1] = what[self.i22] = 0
-        special = [(j, m) for j, m in sorted(link.solve(what).items()) if link.has_head[j]]
+        what = {k: e for k, e in v.items() if k != self.i1 and k != self.i22}
+        special = [(j, m) for j, m in sorted(self._hand(link, what, checked).items())
+                   if link.has_head[j]]
         if not special:
             raise FalsifiedInvariantError(
                 "no prefix-bearing factor for %s over %s"
-                % (link.child_element(what), link.ctx.snake))
+                % (self.element(what), link.ctx.snake))
         for j, m in special:
-            k = link.lift_into(counts, j, m)
-            for c, e in self.exps[k]:
-                v[c] -= e * m
+            self._take(v, counts, link.lift[j], m)
 
-    def _prefix_windows(self, v, counts):
+    def _prefix_windows(self, v, counts, checked):
         """Final case: push everything through the tail and re-read the
         factors that carry the second interval as prefix windows of s."""
-        a1, c = v[self.i1], v[self.i22]
+        a1, c = v.get(self.i1, 0), v.get(self.i22, 0)
         if c == 0:
             raise FalsifiedInvariantError(
                 "ledger exhausted for %s over %s" % (self.element(v), self.snake))
-        wtil = list(v)
-        wtil[self.i1] = 0
+        wtil = {k: e for k, e in v.items() if k != self.i1}
         link = self.link("tail")
         orders, with_g1 = self._prefix_table(link)
         special, rest = [], []
-        for j, m in sorted(link.solve(wtil).items()):
+        for j, m in sorted(self._hand(link, wtil, checked).items()):
             (special if link.has_head[j] else rest).append((j, m))
         found = sum(m for _, m in special)
         if found != c:
@@ -266,9 +307,9 @@ class SnakeContext:
             if k:
                 self._emit(counts, with_g1[j], k)
             if m - k:
-                link.lift_into(counts, j, m - k)
+                self._emit(counts, link.lift[j], m - k)
         for j, m in rest:
-            link.lift_into(counts, j, m)
+            self._emit(counts, link.lift[j], m)
 
     def _prefix_table(self, tail: "_Link"):
         """Per tail descriptor: its compatibility order as a prefix window of
@@ -305,50 +346,15 @@ def _head_generators(s: Snake, e1: int) -> tuple[Interval, ...]:
             Interval(iv(2 + e1).i, iv(3 - e1).j))
 
 
-class _Link:
+class _Link(NamedTuple):
     """A context of a shorter snake that a parent context hands part of an
     element to, with the maps between their indices.  Both snakes have the
     same rank, so an interval means the same generator in each."""
 
-    def __init__(self, parent: SnakeContext, ctx: SnakeContext):
-        self.ctx = ctx
-        self.parent_snake = parent.snake
-        self.parent_coords = parent.coords
-        self.cmap = [ctx.pos.get(iv) for iv in parent.coords]
-        self.lift = [parent.find(d.weight.exps) for d in ctx.alphabet]
-        # whether a descriptor carries the first interval of the child: g2
-        # for ŝ, g22 for the tail
-        head = ctx.snake.iv(1)
-        self.has_head = [d.weight.exponent(head) >= 1 for d in ctx.alphabet]
-
-    def child_element(self, v) -> MonoidElement:
-        return MonoidElement.from_pairs(self.ctx.snake.n, zip(self.parent_coords, v))
-
-    def solve(self, v: list[int]) -> dict[int, int]:
-        cv = [0] * len(self.ctx.coords)
-        for k, e in enumerate(v):
-            if e:
-                c = self.cmap[k]
-                if c is None:
-                    raise PreconditionError(
-                        "element %s is outside the submonoid of %s"
-                        % (self.child_element(v), self.ctx.snake))
-                cv[c] = e
-        return self.ctx.solve(cv)
-
-    def delegate(self, v: list[int], counts) -> None:
-        """Factor v over the child and lift every factor to the parent."""
-        for j, m in self.solve(v).items():
-            self.lift_into(counts, j, m)
-
-    def lift_into(self, counts, j: int, m: int) -> int:
-        k = self.lift[j]
-        if k is None:
-            raise FalsifiedInvariantError(
-                "weight %s is not a prime descriptor of %s"
-                % (self.ctx.alphabet[j].weight, self.parent_snake))
-        counts[k] = counts.get(k, 0) + m
-        return k
+    ctx: SnakeContext
+    cmap: list  # per parent index, the child's, or None
+    lift: list  # per child descriptor, the peel of its intervals in the parent
+    has_head: list  # per child descriptor, whether it has g2 (for ŝ) or g22 (the tail)
 
 
 @dataclass(frozen=True)
@@ -381,8 +387,14 @@ class Factorization:
 def factor(w: MonoidElement, s: Snake) -> Factorization:
     """The canonical prime factorization of w over s."""
     ctx = snake_context(s)
-    counts = ctx.solve(ctx.vector(w))
-    return Factorization(tuple((ctx.alphabet[k], counts[k]) for k in sorted(counts)))
+    v = ctx.vector(w)
+    try:
+        counts = ctx.solve(v, False)
+    except (FalsifiedInvariantError, PreconditionError):
+        # again with every level checked, so that the innermost failure is named
+        counts = ctx.solve(v, True)
+    ks = sorted(counts)
+    return Factorization(tuple(zip(map(ctx.alphabet.__getitem__, ks), map(counts.get, ks))))
 
 
 def compatible_product(f1: Factorization, f2: Factorization, s: Snake) -> bool:

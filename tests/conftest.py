@@ -1,4 +1,4 @@
-from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -41,9 +41,15 @@ def boundary(s):
 
 
 def monomials(s, max_ht):
-    """Every submonoid element of s with total multiplicity <= max_ht."""
-    from itertools import combinations_with_replacement
+    """Every submonoid element of s with total multiplicity <= max_ht, by
+    height, then in the order of ``combinations_with_replacement`` over the
+    sorted generators.  A combination is sorted and its generators are
+    non-trivial, so its exponents, in first-seen order, are already the
+    normalized ``exps`` of the element."""
     gens = sorted(sa.generator_intervals(s))
     for k in range(max_ht + 1):
         for combo in combinations_with_replacement(gens, k):
-            yield sa.MonoidElement.from_exponents(s.n, Counter(combo))
+            exps = dict.fromkeys(combo, 0)
+            for iv in combo:
+                exps[iv] += 1
+            yield sa.MonoidElement(s.n, tuple(exps.items()))

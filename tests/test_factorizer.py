@@ -1,11 +1,12 @@
 import sys
+from functools import lru_cache
 
 import pytest
 
 import snakealg as sa
 import snakealg.cli  # noqa: F401  (its caches are checked too)
 from snakealg import MonoidElement, Snake, snakes
-from snakealg.factorizer import snake_context
+from snakealg.factorizer import SnakeContext, snake_context
 
 from conftest import monomials
 
@@ -117,6 +118,67 @@ class TestBothOrientations:
             ctx = snake_context(s)
             assert set(ctx._links) == {"tail", "shat"}, s
             check_links(ctx)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty per-snake memo for one test, so that its contexts (and the
+    links they compile) are built anew and dropped afterwards."""
+    monkeypatch.setattr(snakes, "_memo", lru_cache(snakes.SNAKE_MEMO_SIZE)(
+        snakes._memo.__wrapped__))
+
+
+def record_ledgers(monkeypatch, contexts, runs):
+    """Append the snake of each context in contexts to runs whenever its
+    ledger runs."""
+    for ctx in contexts:
+        def ledger(self, *args, _run=ctx._ledger):
+            runs.append(self.snake)
+            return _run(self, *args)
+        monkeypatch.setattr(ctx, "_ledger", ledger)
+
+
+class TestOneCheckedPass:
+    def test_corrupt_tail_names_the_tail(self, sstar, monkeypatch):
+        # w{1,3} lives over the last tail [(1,3),(3,4)]; its generator
+        # descriptor there is corrupted to weigh w{1,3}^2
+        tail = sstar.subsnake(4, 5)
+        ctx = snake_context(tail)
+        k = next(k for k, d in enumerate(ctx.alphabet) if str(d) == "generator[(1,3)]")
+        exps = list(ctx.exps)
+        exps[k] = ((ctx.pos[sa.Interval(1, 3)], 2),)
+        monkeypatch.setattr(ctx, "exps", tuple(exps))
+        with pytest.raises(sa.FalsifiedInvariantError) as info:
+            sa.factor(w("w{1,3}"), sstar)
+        assert str(info.value) == "weight recovery failed for w{1,3} over %s: got 1" % tail
+
+    def test_tail_only_element_jumps_to_the_last_tail(self, sstar, monkeypatch):
+        chain = [snake_context(sstar.subsnake(p, 5)) for p in (1, 2, 3, 4)]
+        runs, solves = [], []
+        record_ledgers(monkeypatch, chain, runs)
+        solve = SnakeContext.solve
+        monkeypatch.setattr(SnakeContext, "solve",
+                            lambda self, *args: solves.append(self.snake) or solve(self, *args))
+        f = sa.factor(w("w{1,3}^2 * w{1,4} * w{3,4}"), sstar)
+        assert [str(d) for d in f.factors] == [
+            "window[(1,3),(3,4)]", "generator[(1,3)]", "generator[(1,4)]"]
+        # one ledger of sstar and one of its last tail, and one weight check
+        assert runs == [sstar, sstar.subsnake(4, 5)]
+        assert solves == [sstar]
+
+    def test_missing_intermediate_lift_names_its_snake(self, sstar, monkeypatch, fresh_memo):
+        root = snake_context(sstar)
+        middle = root.link("tail").ctx
+        link = middle.link("tail")
+        j = next(j for j, d in enumerate(link.ctx.alphabet) if str(d) == "generator[(1,3)]")
+        link.lift[j] = (None, link.lift[j][1])  # the memo is this test's own
+        with pytest.raises(sa.FalsifiedInvariantError) as info:
+            sa.factor(w("w{1,3}"), sstar)
+        assert str(info.value) == "weight w{1,3} is not a prime descriptor of %s" % middle.snake
+        # the jump to the last tail composes the lifts on the way, gap included
+        jump = root._jump(3)
+        k = next(k for k, d in enumerate(jump.ctx.alphabet) if str(d) == "generator[(1,3)]")
+        assert jump.ctx.snake == sstar.subsnake(4, 5) and jump.lift[k][0] is None
 
 
 def stack_depth():
