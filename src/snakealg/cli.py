@@ -93,10 +93,15 @@ def _cmd_iso(args) -> int:
     s = parse_snake(args.source)
     t = parse_snake(args.target)
     w = None if args.omega is None else parse_monoid_element(args.omega, s.n)
-    ok = isomorph.check_iso_conditions(s, t)
-    doc = {"source": str(s), "target": str(t), "conditions": ok}
-    if ok:
+    snakes.require_prime(s)
+    snakes.require_prime(t)
+    try:
         iso = isomorph.build_iso(s, t)
+    except PreconditionError:
+        # both snakes are prime, so only the matching conditions can fail
+        iso = None
+    doc = {"source": str(s), "target": str(t), "conditions": iso is not None}
+    if iso is not None:
         doc["map"] = sorted(
             [[a.i, a.j], [b.i, b.j]] for a, b in iso.pairs)
         if w is not None:

@@ -39,6 +39,10 @@ class CorpusSpec:
         bad = set(self.filters) - {"stable", "connected", "prime", "boundary"}
         if bad:
             raise PreconditionError("unknown filters: %s" % sorted(bad))
+        # the boundary filter lists prime snakes of the boundary shape, so it
+        # implies prime; every filter test below reads this normalized set
+        if "boundary" in self.filters:
+            object.__setattr__(self, "filters", frozenset(self.filters) | {"prime"})
         if self.n_range is not None and not (
                 isinstance(self.n_range, tuple) and len(self.n_range) == 2
                 and all(type(n) is int for n in self.n_range)):
@@ -52,7 +56,7 @@ class CorpusSpec:
 def _admits(step: Step, filters) -> bool:
     """Whether a search keeps the prefix that ``step`` judged: the rank-free
     part of the filters, used to prune."""
-    if filters & {"prime", "boundary"}:
+    if "prime" in filters:
         return step.connected and step.keeps_prime
     if "connected" in filters:
         return step.connected
@@ -61,7 +65,7 @@ def _admits(step: Step, filters) -> bool:
 
 def _candidate_ranks(ivs: tuple[Interval, ...], spec: CorpusSpec) -> list[int]:
     n_min = max(iv.length for iv in ivs)
-    if spec.filters & {"connected", "prime", "boundary"}:
+    if spec.filters & {"connected", "prime"}:
         n_min = max([n_min] + [pair_rank(a, b) for a, b in zip(ivs, ivs[1:])])
     if spec.n_range is not None:
         lo, hi = spec.n_range

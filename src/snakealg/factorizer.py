@@ -10,9 +10,10 @@ exponent tuples.  The contexts the ledger hands work to (the tail and the
 extended snake ŝ) are compiled on first use, with the maps between their
 indices and the parent's.  The ledger runs on a map from index to exponent
 and peels the whole multiplicity of a case in one step, so its cost depends
-on the support of an element, not on its height.  An element over the d-th
-tail goes straight to that tail's context, and only the top-level call
-checks the weight, unless that check fails (see ``factor``).
+on the support of an element, not on its height.  An element that lives
+wholly over the tail goes to the tail's context, one level at a time, and
+only the top-level call checks the weight, unless that check fails (see
+``factor``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class SnakeContext:
         self.index = {key: k for k, key in enumerate(self.exps)}
         self.head = _head_generators(s, eps0) if s.r >= 3 else None
         self._links: dict[str, _Link] = {}
-        self._jumps: dict[int, _Link] = {}
         self._windows = None
         # the ledger of this length, as a plain function so that the context
         # holds no reference to itself
@@ -110,20 +110,6 @@ class SnakeContext:
                 ctx, [ctx.pos.get(iv) for iv in self.coords],
                 [(self.find(d.weight.exps), d.intervals) for d in ctx.alphabet],
                 [ctx.snake.intervals[0] in d.intervals for d in ctx.alphabet])
-        return link
-
-    def _jump(self, d: int) -> "_Link":
-        """The link to the d-th tail (positions d+1..r), compiled on first use: the tail
-        links on the way composed, so that a lift missing at any level stays missing."""
-        link = self._jumps.get(d)
-        if link is None:
-            link = self.link("tail")
-            for _ in range(d - 1):
-                deeper = link.ctx.link("tail")
-                link = deeper._replace(
-                    cmap=[None if c is None else deeper.cmap[c] for c in link.cmap],
-                    lift=[p if p[0] is None else link.lift[p[0]] for p in deeper.lift])
-            self._jumps[d] = link
         return link
 
     def _hand(self, link: "_Link", v: dict[int, int], checked: bool) -> dict[int, int]:
@@ -182,17 +168,13 @@ class SnakeContext:
         if s.r <= 2:
             return SnakeContext._greedy
         g1, g2, g3, g4, g22, g23 = self.head
-        tails = [generator_intervals(s.subsnake(p, s.r)) for p in range(2, s.r)]
-        # per index, over how many tails in a row, from the first, its generator lives
-        inside, depth = set(self.coords), Counter()
-        for gens in tails:
-            inside &= gens
-            depth.update(inside)
-        self.depth = [depth[iv] for iv in self.coords]
+        tail = generator_intervals(s.subsnake(2, s.r))
+        # per index, whether its generator lives over the tail
+        self.intail = [iv in tail for iv in self.coords]
         self.i1, self.i3, self.i22 = self.pos[g1], self.pos[g3], self.pos[g22]
         self.i4 = self.pos.get(g4)
         self.i23 = self.pos.get(g23)
-        self.i2 = None if g2 in tails[0] else self.pos.get(g2)
+        self.i2 = None if g2 in tail else self.pos.get(g2)
         self.p4 = self._peel(g4)
         self.p3_22, self.p3 = self._peel(g3, g22), self._peel(g3)
         self.p1_23, self.p23 = self._peel(g1, g23), self._peel(g23)
@@ -220,12 +202,11 @@ class SnakeContext:
         support, and with it every earlier case, is unchanged.
         """
         i1, i3, i4, i22, i23 = self.i1, self.i3, self.i4, self.i22, self.i23
-        depth = self.depth.__getitem__
+        intail = self.intail.__getitem__
         while v:
-            # everything lives over the d-th tail: straight there, or one
-            # level at a time when every level checks
-            if 0 not in map(depth, v):
-                link = self._jump(1 if checked else min(map(depth, v)))
+            # everything lives over the tail
+            if all(map(intail, v)):
+                link = self.link("tail")
                 for j, m in self._hand(link, v, checked).items():
                     self._emit(counts, link.lift[j], m)
                 return

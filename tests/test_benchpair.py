@@ -1,0 +1,65 @@
+"""The summaries of ``tools/benchpair.py`` on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "benchpair.py"
+_spec = importlib.util.spec_from_file_location("benchpair", _PATH)
+benchpair = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(benchpair)
+
+
+def run(pair, side, **metrics):
+    return {"pair": pair, "side": side, "exit": 0, "metrics": metrics}
+
+
+RUNS = [
+    run(0, "base", ops=10.0, ms=5.0), run(0, "change", ops=12.0, ms=4.0),
+    run(1, "change", ops=10.0, ms=5.0), run(1, "base", ops=10.0, ms=5.0),
+    run(2, "base", ops=11.0, ms=3.0), run(2, "change", ops=9.0, ms=6.0),
+    run(3, "base", ops=12.0, ms=4.0), run(3, "change", ops=13.0, ms=3.5),
+    # a failed run: it has no metrics and its pair is incomplete
+    {"pair": 4, "side": "base", "exit": 1, "error": "boom"},
+    run(4, "change", ops=99.0, ms=0.1),
+]
+BETTER = {"ops": "higher", "ms": "lower"}
+
+
+class TestSummary:
+    def test_quartiles(self):
+        assert benchpair.summary([4.0, 1.0, 3.0, 2.0]) == {
+            "median": 2.5, "q1": 1.75, "q3": 3.25, "values": [4.0, 1.0, 3.0, 2.0]}
+
+    def test_short(self):
+        assert benchpair.summary([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0,
+                                            "values": [7.0]}
+        assert benchpair.summary([]) == {"median": None, "q1": None, "q3": None,
+                                         "values": []}
+
+
+class TestCompare:
+    def test_wins_count_neither_side_on_a_tie(self):
+        out = benchpair.compare(RUNS, BETTER)
+        # pairs 0 and 3 go to the change, pair 2 to the base, pair 1 is a
+        # tie and pair 4 lacks its base run
+        assert out["change_better_in_pairs"] == {"ops": "2 of 4", "ms": "2 of 4"}
+
+    def test_runs_without_metrics_are_skipped(self):
+        out = benchpair.compare(RUNS, BETTER)
+        assert out["base"]["ops"]["values"] == [10.0, 10.0, 11.0, 12.0]
+        assert out["change"]["ops"]["values"] == [12.0, 10.0, 9.0, 13.0, 99.0]
+
+    def test_gap_against_the_base_spread(self):
+        out = benchpair.compare(RUNS, BETTER)
+        assert out["base_iqr"] == {"ops": 1.25, "ms": pytest.approx(1.25)}
+        assert out["median_gap"] == {"ops": 1.5, "ms": -0.5}
+        assert out["resolved"] == {"ops": True, "ms": False}
+        assert out["median_ratio"]["ops"] == pytest.approx(12.0 / 10.5)
+
+    def test_a_side_without_runs(self):
+        out = benchpair.compare([r for r in RUNS if r["side"] == "base"], BETTER)
+        assert out["change_better_in_pairs"] == {"ops": "0 of 0", "ms": "0 of 0"}
+        assert out["base_iqr"] == out["median_gap"] == out["resolved"] == {
+            "ops": None, "ms": None}

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import snakealg as sa
-from snakealg import MonoidElement, cli, heightmap, parse_monoid_element
+from snakealg import MonoidElement, cli, heightmap, isomorph, parse_monoid_element
 from snakealg.explorer import R_CAP
+from snakealg.factorizer import snake_context
 
 from conftest import boundary
 
@@ -79,6 +80,21 @@ class TestFactor:
         for d in doc["factors"]:
             product = product * parse_monoid_element(d["weight"], 6)
         assert product == parse_monoid_element("w{0,5}^2000", 6)
+
+    def test_falsified_invariant(self, capsys, monkeypatch):
+        # the generator descriptor of w{1,3} over sstar's last tail is
+        # corrupted to weigh w{1,3}^2
+        tail = sa.parse_snake(SSTAR).subsnake(4, 5)
+        ctx = snake_context(tail)
+        k = next(k for k, d in enumerate(ctx.alphabet) if str(d) == "generator[(1,3)]")
+        exps = list(ctx.exps)
+        exps[k] = ((ctx.pos[sa.Interval(1, 3)], 2),)
+        monkeypatch.setattr(ctx, "exps", tuple(exps))
+        code, doc = run(capsys, "factor", "--snake", SSTAR, "--omega", "w{1,3}")
+        assert code == 4
+        assert doc == {"error": "falsified-invariant",
+                       "witness": "weight recovery failed for w{1,3} over "
+                                  "[(1,3),(3,4)] @ n=6: got 1"}
 
 
 class TestHugeExponents:
@@ -187,6 +203,28 @@ class TestIso:
                         "--omega", "not an element")
         assert code == 2
         assert doc == {"error": "parse", "message": "bad generator 'not an element'"}
+
+    @pytest.mark.parametrize("target", [
+        "[(0,3),(-2,1)] @ n=5", "[(0,2),(1,3)] @ n=3"], ids=["matched", "unmatched"])
+    def test_one_matching_walk(self, capsys, monkeypatch, target):
+        calls = []
+        match = isomorph._match
+        monkeypatch.setattr(isomorph, "_match",
+                            lambda s, t: calls.append((s, t)) or match(s, t))
+        code, doc = run(capsys, "iso", "--source", S2, "--target", target,
+                        "--omega", "w{0,2}")
+        assert code == 0 and "conditions" in doc
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("source, target", [
+        ("[(0,2),(0,2)] @ n=3", S2), (S2, "[(0,2),(0,2)] @ n=3"),
+        ("[(0,2),(0,2)] @ n=3", "[(0,3),(0,3)] @ n=3")],
+        ids=["source", "target", "both"])
+    def test_non_prime_is_a_precondition(self, capsys, source, target):
+        code, doc = run(capsys, "iso", "--source", source, "--target", target)
+        bad = source if source != S2 else target
+        assert code == 3
+        assert doc == {"error": "precondition", "message": "snake is not prime: %s" % bad}
 
 
 class TestHeight:

@@ -77,6 +77,25 @@ class TestEnumeration:
         assert out
         assert all(boundary(s) for s in out)
 
+    @pytest.mark.parametrize("r_max, span", [(3, 5), (4, 6), (5, 8)])
+    def test_boundary_implies_prime(self, r_max, span):
+        def listed(*filters):
+            return list(sa.enumerate_snakes(sa.CorpusSpec(r_max, span,
+                                                          filters=frozenset(filters))))
+
+        expected = listed("prime", "boundary")
+        assert expected
+        for filters in (("boundary",), ("stable", "boundary"), ("connected", "boundary")):
+            assert listed(*filters) == expected, filters
+
+    def test_boundary_lists_no_non_prime_snake(self):
+        s = sa.parse_snake("[(0,2),(1,3),(0,1)] @ n=2")
+        c = sa.classify(s)
+        assert c.stable and c.connected and not c.prime and boundary(s)
+        spec = sa.CorpusSpec(r_max=3, span=3, filters=frozenset({"boundary"}))
+        assert spec.filters == {"prime", "boundary"}
+        assert s not in set(sa.enumerate_snakes(spec))
+
     def test_n_range_override(self):
         spec = sa.CorpusSpec(r_max=2, span=4, n_range=(4, 5),
                              filters=frozenset({"prime"}))

@@ -5,7 +5,7 @@ import pytest
 
 import snakealg as sa
 import snakealg.cli  # noqa: F401  (its caches are checked too)
-from snakealg import MonoidElement, Snake, snakes
+from snakealg import MonoidElement, Snake, factorizer, snakes
 from snakealg.factorizer import SnakeContext, snake_context
 
 from conftest import monomials
@@ -152,7 +152,7 @@ class TestOneCheckedPass:
             sa.factor(w("w{1,3}"), sstar)
         assert str(info.value) == "weight recovery failed for w{1,3} over %s: got 1" % tail
 
-    def test_tail_only_element_jumps_to_the_last_tail(self, sstar, monkeypatch):
+    def test_tail_only_element_walks_down_to_the_last_tail(self, sstar, monkeypatch):
         chain = [snake_context(sstar.subsnake(p, 5)) for p in (1, 2, 3, 4)]
         runs, solves = [], []
         record_ledgers(monkeypatch, chain, runs)
@@ -162,9 +162,17 @@ class TestOneCheckedPass:
         f = sa.factor(w("w{1,3}^2 * w{1,4} * w{3,4}"), sstar)
         assert [str(d) for d in f.factors] == [
             "window[(1,3),(3,4)]", "generator[(1,3)]", "generator[(1,4)]"]
-        # one ledger of sstar and one of its last tail, and one weight check
-        assert runs == [sstar, sstar.subsnake(4, 5)]
+        # one ledger per snake of the tail chain, and one weight check
+        assert runs == [ctx.snake for ctx in chain]
         assert solves == [sstar]
+
+    def test_compile_reads_the_first_tail_only(self, sstar, monkeypatch, fresh_memo):
+        read = []
+        gens = factorizer.generator_intervals
+        monkeypatch.setattr(factorizer, "generator_intervals",
+                            lambda s: read.append(s) or gens(s))
+        snake_context(sstar)
+        assert read == [sstar, sstar.subsnake(2, 5)]
 
     def test_missing_intermediate_lift_names_its_snake(self, sstar, monkeypatch, fresh_memo):
         root = snake_context(sstar)
@@ -175,10 +183,6 @@ class TestOneCheckedPass:
         with pytest.raises(sa.FalsifiedInvariantError) as info:
             sa.factor(w("w{1,3}"), sstar)
         assert str(info.value) == "weight w{1,3} is not a prime descriptor of %s" % middle.snake
-        # the jump to the last tail composes the lifts on the way, gap included
-        jump = root._jump(3)
-        k = next(k for k, d in enumerate(jump.ctx.alphabet) if str(d) == "generator[(1,3)]")
-        assert jump.ctx.snake == sstar.subsnake(4, 5) and jump.lift[k][0] is None
 
 
 def stack_depth():
@@ -279,4 +283,5 @@ class TestCompatibility:
         f0 = sa.factor(MonoidElement.one(3), s2)
         f = sa.factor(w("w{0,2}", 3), s2)
         assert sa.compatible_product(f0, f, s2)
+        assert sa.compatible_product(f, f0, s2)
 

@@ -13,9 +13,11 @@ change's ``BENCHMARK.json``. The two sides alternate in the order
 base, change, change, base, ... so that a slow drift of the machine falls on
 both. The output file holds, per workload and side, the median and quartiles
 of every end-to-end metric that ``BENCHMARK.json`` names, the count of pairs
-in which the change is better, and every run as reported. The file is
-rewritten after each workload and seed, so an interrupted session keeps what
-it measured. Stdlib only.
+in which the change is better, the base's interquartile range, the gap
+between the medians (change minus base), whether that gap is wider than the
+base's interquartile range (``resolved``), and every run as reported. The
+file is rewritten after each workload and seed, so an interrupted session
+keeps what it measured. Stdlib only.
 """
 
 from __future__ import annotations
@@ -91,7 +93,9 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per-side summaries and, per metric, the pairs the change wins."""
+    """Per-side summaries and, per metric, the pairs the change wins (a tie
+    counts for neither side) and the median gap against the base's spread.
+    Runs without metrics are left out."""
     sides = {side: [r for r in runs if r["side"] == side and "metrics" in r]
              for side in ("base", "change")}
     out = {side: {m: summary([r["metrics"][m] for r in rs])
@@ -108,9 +112,20 @@ def compare(runs: list[dict], better: dict[str, str]) -> dict:
                 and sign * (p["change"] - p["base"]) > 0),
             sum(1 for p in pairs.values() if len(p) == 2))
     out["change_better_in_pairs"] = wins
-    out["median_ratio"] = {
-        m: (out["change"][m]["median"] / out["base"][m]["median"]
-            if out["base"][m]["median"] else None) for m in better}
+    fields = ("median_ratio", "base_iqr", "median_gap", "resolved")
+    for f in fields:
+        out[f] = {}
+    for m in better:
+        base, change = out["base"][m], out["change"][m]
+        row = dict.fromkeys(fields)
+        if base["median"] is not None and change["median"] is not None:
+            if base["median"]:
+                row["median_ratio"] = change["median"] / base["median"]
+            row["base_iqr"] = base["q3"] - base["q1"]
+            row["median_gap"] = change["median"] - base["median"]
+            row["resolved"] = abs(row["median_gap"]) > row["base_iqr"]
+        for f in fields:
+            out[f][m] = row[f]
     return out
 
 
