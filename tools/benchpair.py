@@ -16,7 +16,7 @@ of every end-to-end metric that ``BENCHMARK.json`` names, the count of pairs
 in which the change is better, the base's interquartile range, the gap
 between the medians (change minus base), whether that gap is wider than the
 base's interquartile range (``resolved``), and every run as reported. The
-file is rewritten after each workload and seed, so an interrupted session
+file is rewritten after each workload and seed, so an interrupted run
 keeps what it measured. Stdlib only.
 """
 
