@@ -44,12 +44,16 @@ def is_trivial(iv: Interval, n: int) -> bool:
     return iv.j - iv.i in (0, n + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonoidElement:
     """A normalized word in the free commutative monoid over rank-n intervals.
 
     ``exps`` is a lexicographically sorted tuple of (interval, multiplicity)
     pairs with positive multiplicities and no trivial generators.
+    ``MonoidElement(n, exps)`` checks none of that: it is the internal
+    constructor, for pairs already normalized at rank n.  Public
+    construction (``from_exponents``, ``from_pairs``, ``generator``,
+    ``parse_monoid_element``) checks every interval.
     """
 
     n: int
@@ -59,13 +63,15 @@ class MonoidElement:
     def from_exponents(n: int, exponents: Mapping[Interval, int]) -> "MonoidElement":
         items = []
         for iv, e in exponents.items():
-            iv = Interval(*iv)
-            _check_interval(iv, n)
+            if type(iv) is not Interval:
+                iv = Interval(*iv)
+            length = iv.j - iv.i
+            if not 0 <= length <= n + 1:
+                _check_interval(iv, n)
             if e < 0:
                 raise PreconditionError("negative exponent for %s" % (iv,))
-            if e == 0 or is_trivial(iv, n):
-                continue
-            items.append((iv, e))
+            if e and 0 < length <= n:
+                items.append((iv, e))
         items.sort()
         return MonoidElement(n, tuple(items))
 
@@ -175,12 +181,13 @@ def parse_monoid_element(text: str, n: int) -> MonoidElement:
         raise ParseError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snake:
     """An ordered tuple of rank-n intervals.
 
     Construction only enforces the interval bound; the classification
     hierarchy (stable / connected / prime) lives in the snakes module.
+    ``Snake._of`` is the internal constructor, which checks nothing.
     """
 
     n: int
@@ -196,6 +203,14 @@ class Snake:
         for iv in ivs:
             _check_interval(iv, self.n)
 
+    @staticmethod
+    def _of(n: int, intervals: tuple[Interval, ...]) -> "Snake":
+        """The snake on a non-empty tuple of Intervals checked at rank n >= 1."""
+        s = object.__new__(Snake)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "intervals", intervals)
+        return s
+
     @property
     def r(self) -> int:
         return len(self.intervals)
@@ -210,14 +225,14 @@ class Snake:
         """The slice at positions p..l (1-based, inclusive)."""
         if not 1 <= p <= l <= self.r:
             raise PreconditionError("bad slice %d..%d of length %d" % (p, l, self.r))
-        return Snake(self.n, self.intervals[p - 1:l])
+        return Snake._of(self.n, self.intervals[p - 1:l])
 
     @property
     def weight(self) -> MonoidElement:
         return MonoidElement.from_pairs(self.n, ((iv, 1) for iv in self.intervals))
 
     def reflect(self) -> "Snake":
-        return Snake(self.n, tuple(iv.reflect() for iv in self.intervals))
+        return Snake._of(self.n, tuple(iv.reflect() for iv in self.intervals))
 
     @property
     def i_min(self) -> int:

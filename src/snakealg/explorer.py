@@ -122,8 +122,9 @@ def enumerate_snakes(spec: CorpusSpec) -> Iterator[Snake]:
     for ivs in chain.from_iterable(walk((iv,), None) for iv in alphabet):
         if spec.translation_normalized and min(iv.i for iv in ivs) != 0:
             continue
+        # every candidate rank is at least the length of every interval
         for n in _candidate_ranks(ivs, spec):
-            s = Snake(n, ivs)
+            s = Snake._of(n, ivs)
             if _passes(s, spec.filters):
                 yield s
 

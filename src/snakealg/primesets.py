@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import Interval, MonoidElement, Snake, is_trivial
+from .core import Interval, MonoidElement, Snake, _check_interval, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
 from .snakes import (both_ends_differ, classify, crossed, is_boundary, linked,
                      pair_rank, per_snake, require_prime)
@@ -74,7 +74,8 @@ def _side_terms(s: Snake) -> tuple[dict[int, Interval], dict[int, Interval]]:
     of a window with e = 1, by its cut p, and of one with e2 = 1, by its cut
     l.  A cut that is missing forbids the side term.  In particular, a side
     condition whose reference position (p + 3 or l + 2) falls off the snake
-    forbids it; such windows duplicate frozen pairs weight-for-weight."""
+    forbids it; such windows duplicate frozen pairs weight-for-weight.
+    Each side term is checked against the rank of s."""
     eps = require_prime(s).eps
     iv = s.iv
     left, right = {}, {}
@@ -86,6 +87,8 @@ def _side_terms(s: Snake) -> tuple[dict[int, Interval], dict[int, Interval]]:
         el = eps[l - 1]
         if iv(l - 1).i != iv(l + 1 + el).i and iv(l - 1).j != iv(l + 2 - el).j:
             right[l] = Interval(iv(l + 1 + el).i, iv(l + 2 - el).j)
+    for term in chain(left.values(), right.values()):
+        _check_interval(term, s.n)
     return left, right
 
 
@@ -104,7 +107,7 @@ def window_cuts(s: Snake) -> tuple[tuple[tuple[int, int, int, int],
                 for e2 in (0, 1) if l in right else (0,):
                     head = (left[p],) if e else ()
                     tail = (right[l],) if e2 else ()
-                    snake = Snake(s.n, head + s.intervals[p + 1:l] + tail)
+                    snake = Snake._of(s.n, head + s.intervals[p + 1:l] + tail)
                     if not classify(snake).prime:
                         raise FalsifiedInvariantError(
                             "window e=%d e2=%d p=%d l=%d of %s materialized non-prime %s"
@@ -124,7 +127,7 @@ def window_snake(s: Snake, e: int, e2: int, p: int, l: int) -> Snake:
     if ivs is None:
         raise PreconditionError(
             "inadmissible window e=%d e2=%d p=%d l=%d for %s" % (e, e2, p, l, s))
-    return Snake(s.n, ivs)
+    return Snake._of(s.n, ivs)
 
 
 @dataclass(frozen=True)
@@ -142,14 +145,21 @@ class PrimeDescriptor:
 
 def _descriptors(n: int, entries) -> tuple[PrimeDescriptor, ...]:
     """Descriptors of the (kind, intervals) entries, without the identity and
-    keeping the first descriptor of each weight."""
+    keeping the first descriptor of each weight.  A weight is the product of
+    its intervals: each is checked against the rank, trivial ones drop out
+    and repeats add up."""
     out = []
     seen = set()
     for kind, ivs in entries:
-        w = MonoidElement.from_pairs(n, ((iv, 1) for iv in ivs))
-        if not (w.is_one or w in seen):
-            seen.add(w)
-            out.append(PrimeDescriptor(kind, ivs, w))
+        acc: dict[Interval, int] = {}
+        for iv in ivs:
+            _check_interval(iv, n)
+            if not is_trivial(iv, n):
+                acc[iv] = acc.get(iv, 0) + 1
+        exps = tuple(sorted(acc.items()))
+        if exps and exps not in seen:
+            seen.add(exps)
+            out.append(PrimeDescriptor(kind, ivs, MonoidElement(n, exps)))
     return tuple(out)
 
 

@@ -8,7 +8,8 @@ single PASS line; any failure surfaces as an ordinary assertion error.
 import random
 import time
 from collections import Counter
-from itertools import combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement, islice
+from math import comb
 
 import snakealg as sa
 from snakealg import heightmap as hm
@@ -228,3 +229,61 @@ def test_criterion_9_type_a_counts(corpus):
     report("criterion 9",
            "type A_N counts on %d boundary snakes, %d frozen-exchangeable pairs "
            "compatible on %d of them" % (len(snakes), pairs, len(snakes[::25])))
+
+
+def compatibility(s):
+    """The PR weights of s and, per index, the indices of the other weights
+    it is compatible with (``compatible_product`` of their factorizations)."""
+    weights = [d.weight for d in sa.pr_set(s)]
+    facs = [sa.factor(w, s) for w in weights]
+    adj = [set() for _ in weights]
+    for a, b in combinations(range(len(weights)), 2):
+        if sa.compatible_product(facs[a], facs[b], s):
+            adj[a].add(b)
+            adj[b].add(a)
+    return weights, adj
+
+
+def maximal_compatible_sets(adj):
+    """Every maximal set of pairwise compatible indices (Bron-Kerbosch with a
+    pivot)."""
+    out = []
+
+    def grow(chosen, cands, done):
+        if not cands and not done:
+            out.append(frozenset(chosen))
+            return
+        pivot = max(cands | done, key=lambda v: len(adj[v] & cands))
+        for v in sorted(cands - adj[pivot]):
+            grow(chosen | {v}, cands & adj[v], done & adj[v])
+            cands = cands - {v}
+            done = done | {v}
+
+    grow(frozenset(), set(range(len(adj))), set())
+    return out
+
+
+def test_criterion_10_type_a_clusters(corpus):
+    """On a seeded fifth of the boundary snakes with r >= 3 and N <= 5, the
+    maximal compatible subsets of PR(s) are the clusters of type A_N: each has
+    N elements, there are Catalan(N+1) of them, and each (N-1)-subset of one
+    lies in exactly two (mutation)."""
+    t0 = time.monotonic()
+    snakes = [s for s in corpus if s.r >= 3 and boundary(s) and hm.n_of(s) <= 5]
+    sample = random.Random(1).sample(snakes, len(snakes) // 5)
+    by_n = Counter()
+    for s in sample:
+        N = hm.n_of(s)
+        weights, adj = compatibility(s)
+        clusters = maximal_compatible_sets(adj)
+        for c in clusters:
+            assert len(c) == N, (str(s), sorted(str(weights[k]) for k in c))
+        assert len(clusters) == comb(2 * N + 2, N + 1) // (N + 2), (str(s), len(clusters))
+        holders = Counter(sub for c in clusters for sub in combinations(sorted(c), N - 1))
+        for sub, count in holders.items():
+            assert count == 2, (str(s), [str(weights[k]) for k in sub], count)
+        by_n[N] += 1
+    elapsed = time.monotonic() - t0
+    report("criterion 10",
+           "type A_N clusters on %d of %d boundary snakes (by N: %s) in %.1fs"
+           % (len(sample), len(snakes), dict(sorted(by_n.items())), elapsed))

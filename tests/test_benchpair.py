@@ -23,6 +23,8 @@ RUNS = [
     # a failed run: it has no metrics and its pair is incomplete
     {"pair": 4, "side": "base", "exit": 1, "error": "boom"},
     run(4, "change", ops=99.0, ms=0.1),
+    # a run whose outputs failed the check: its metrics do not count
+    dict(run(5, "change", ops=500.0, ms=0.01), exit=1, correct=False),
 ]
 BETTER = {"ops": "higher", "ms": "lower"}
 
@@ -43,13 +45,24 @@ class TestCompare:
     def test_wins_count_neither_side_on_a_tie(self):
         out = benchpair.compare(RUNS, BETTER)
         # pairs 0 and 3 go to the change, pair 2 to the base, pair 1 is a
-        # tie and pair 4 lacks its base run
+        # tie, pair 4 lacks its base run and pair 5 its checked change run
         assert out["change_better_in_pairs"] == {"ops": "2 of 4", "ms": "2 of 4"}
 
     def test_runs_without_metrics_are_skipped(self):
         out = benchpair.compare(RUNS, BETTER)
         assert out["base"]["ops"]["values"] == [10.0, 10.0, 11.0, 12.0]
         assert out["change"]["ops"]["values"] == [12.0, 10.0, 9.0, 13.0, 99.0]
+
+    def test_runs_with_wrong_outputs_are_skipped(self):
+        out = benchpair.compare(RUNS, BETTER)
+        assert 500.0 not in out["change"]["ops"]["values"]
+        assert out["left_out"] == {"base": 1, "change": 1}
+        # nor does the pair it would have won
+        wrong = dict(run(0, "change", ops=500.0, ms=0.01), exit=1, correct=False)
+        out = benchpair.compare([run(0, "base", ops=1.0, ms=1.0), wrong], BETTER)
+        assert out["change_better_in_pairs"] == {"ops": "0 of 0", "ms": "0 of 0"}
+        assert out["left_out"] == {"base": 0, "change": 1}
+        assert out["base"]["ops"]["values"] == [1.0]
 
     def test_gap_against_the_base_spread(self):
         out = benchpair.compare(RUNS, BETTER)

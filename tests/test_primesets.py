@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 import snakealg as sa
-from snakealg import Interval, MonoidElement
+from snakealg import Interval, MonoidElement, primesets, snakes
 from snakealg.primesets import window_cuts
 
 
@@ -93,6 +95,28 @@ class TestWindows:
                 assert not (e2 == 1 and (l < 2 or l > s.r - 2))
         with pytest.raises(sa.PreconditionError):
             sa.window_snake(sstar, 0, 1, -1, 1)
+
+    def test_non_prime_window_is_a_falsified_invariant(self, sstar, monkeypatch):
+        # the window table checks every window it builds: one that classifies
+        # non-prime is a falsified invariant naming its cuts and its snake
+        bad = sa.Snake(6, (Interval(0, 4),) + sstar.intervals[2:5])
+        real = primesets.classify
+
+        def classify(t):
+            c = real(t)
+            return dataclasses.replace(c, prime=False) if t == bad else c
+
+        snakes._memo.cache_clear()
+        monkeypatch.setattr(primesets, "classify", classify)
+        try:
+            with pytest.raises(sa.FalsifiedInvariantError) as info:
+                window_cuts(sstar)
+        finally:
+            monkeypatch.undo()
+            snakes._memo.cache_clear()
+        assert str(info.value) == (
+            "window e=1 e2=0 p=1 l=5 of %s materialized non-prime %s" % (sstar, bad))
+        assert sa.window_snake(sstar, 1, 0, 1, 5) == bad
 
     def test_bad_cuts(self, sstar):
         with pytest.raises(sa.PreconditionError):

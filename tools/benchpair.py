@@ -12,12 +12,13 @@ base's in the base export, and every run lasts the ``run_seconds`` of the
 change's ``BENCHMARK.json``. The two sides alternate in the order
 base, change, change, base, ... so that a slow drift of the machine falls on
 both. The output file holds, per workload and side, the median and quartiles
-of every end-to-end metric that ``BENCHMARK.json`` names, the count of pairs
-in which the change is better, the base's interquartile range, the gap
-between the medians (change minus base), whether that gap is wider than the
-base's interquartile range (``resolved``), and every run as reported. The
-file is rewritten after each workload and seed, so an interrupted run
-keeps what it measured. Stdlib only.
+of every end-to-end metric that ``BENCHMARK.json`` names, over the runs that
+reported metrics and whose outputs passed the check; the count per side of
+the runs left out; the count of pairs in which the change is better, the
+base's interquartile range, the gap between the medians (change minus base),
+whether that gap is wider than the base's interquartile range
+(``resolved``), and every run as reported. The file is rewritten after each
+workload and seed, so an interrupted run keeps what it measured. Stdlib only.
 """
 
 from __future__ import annotations
@@ -92,20 +93,27 @@ def summary(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
+def measured(run: dict) -> bool:
+    """Whether a run counts: it reported metrics, and its outputs passed the check."""
+    return "metrics" in run and run.get("correct") is not False
+
+
 def compare(runs: list[dict], better: dict[str, str]) -> dict:
     """Per-side summaries and, per metric, the pairs the change wins (a tie
     counts for neither side) and the median gap against the base's spread.
-    Runs without metrics are left out."""
-    sides = {side: [r for r in runs if r["side"] == side and "metrics" in r]
-             for side in ("base", "change")}
+    Runs without metrics, and runs whose outputs failed the check, are left
+    out; ``left_out`` counts them per side."""
+    kept = [r for r in runs if measured(r)]
+    sides = {side: [r for r in kept if r["side"] == side] for side in ("base", "change")}
     out = {side: {m: summary([r["metrics"][m] for r in rs])
                   for m in better} for side, rs in sides.items()}
+    out["left_out"] = {side: sum(1 for r in runs if r["side"] == side) - len(rs)
+                       for side, rs in sides.items()}
     wins = {}
     for m, direction in better.items():
         pairs = {}
-        for r in runs:
-            if "metrics" in r:
-                pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"][m]
+        for r in kept:
+            pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"][m]
         sign = 1 if direction == "higher" else -1
         wins[m] = "%d of %d" % (
             sum(1 for p in pairs.values() if len(p) == 2
