@@ -3,13 +3,22 @@
 Each test exercises one headline guarantee over the standard corpus
 (translation-normalized prime snakes, length <= 5, span <= 9) and prints a
 single PASS line; any failure surfaces as an ordinary assertion error.
+
+``golden/criterion4.json`` pins every factorization criterion 4 makes.
+Record it again only when the canonical form itself is meant to change::
+
+    PYTHONPATH=src python tests/test_acceptance.py --record
 """
 
+import hashlib
+import json
 import random
+import sys
 import time
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, islice
 from math import comb
+from pathlib import Path
 
 import snakealg as sa
 from snakealg import heightmap as hm
@@ -17,6 +26,7 @@ from snakealg import heightmap as hm
 from conftest import boundary, monomials
 
 SSTAR_TEXT = "[(0,6),(-1,4),(2,5),(1,3),(3,4)] @ n=6"
+CRITERION_4_GOLDEN = Path(__file__).with_name("golden") / "criterion4.json"
 
 
 def report(tag, detail):
@@ -77,16 +87,39 @@ def test_criterion_3_closure(corpus):
     report("criterion 3", "closure and boundary identity on %d snakes" % checked)
 
 
-def test_criterion_4_factorization_soundness():
-    t0 = time.monotonic()
+def criterion_4_factorizations() -> dict:
+    """Factor every descriptor weight and every monomial of height <= 5 over
+    each prime snake with r <= 4, span <= 9, and check each factorization.
+
+    Returns the counts of snakes and of monomials, and per length r one
+    SHA-256 digest of what ``factor`` returned: a line per snake, then a line
+    per element, descriptors first, listing each factor's kind, intervals and
+    multiplicity in output order."""
     spec = sa.CorpusSpec(r_max=4, span=9, filters=frozenset({"prime"}))
     snakes = list(sa.enumerate_snakes(spec))
     total = 0
+    digests = {}
     for s in snakes:
+        h = digests.setdefault(str(s.r), hashlib.sha256())
+        h.update(b"%s\n" % str(s).encode())
+        # id to (descriptor, text); keeping the descriptor alive keeps its id
+        # its own
+        labels = {}
+
+        def line(f):
+            parts = []
+            for d, m in f.pairs:
+                label = labels.get(id(d))
+                if label is None:
+                    label = labels[id(d)] = d, str(d)
+                parts.append("%s*%d" % (label[1], m))
+            h.update(b"%s\n" % ";".join(parts).encode())
+
         index = sa.descriptor_index(s)
         for d in index.values():
             f = sa.factor(d.weight, s)
             assert f.weight_multiset() == (d.weight,), (str(s), str(d.weight))
+            line(f)
         for w in monomials(s, 5):
             f = sa.factor(w, s)
             got = Counter()
@@ -95,7 +128,16 @@ def test_criterion_4_factorization_soundness():
                 for iv, e in d.weight.exps:
                     got[iv] += e * m
             assert got == dict(w.exps), (str(s), str(w))
+            line(f)
             total += 1
+    return {"snakes": len(snakes), "elements": total,
+            "digests": {r: h.hexdigest() for r, h in digests.items()}}
+
+
+def test_criterion_4_factorization_soundness():
+    t0 = time.monotonic()
+    got = criterion_4_factorizations()
+    assert got == json.loads(CRITERION_4_GOLDEN.read_text())
     oracle_checked = 0
     small = sa.CorpusSpec(r_max=3, span=6, filters=frozenset({"prime"}))
     for s in sa.enumerate_snakes(small):
@@ -109,7 +151,7 @@ def test_criterion_4_factorization_soundness():
     assert elapsed < 180
     report("criterion 4",
            "%d elements over %d snakes factored, %d oracle-checked, %.1fs"
-           % (total, len(snakes), oracle_checked, elapsed))
+           % (got["elements"], got["snakes"], oracle_checked, elapsed))
 
 
 def test_criterion_5_reflection_equivariance(corpus):
@@ -287,3 +329,10 @@ def test_criterion_10_type_a_clusters(corpus):
     report("criterion 10",
            "type A_N clusters on %d of %d boundary snakes (by N: %s) in %.1fs"
            % (len(sample), len(snakes), dict(sorted(by_n.items())), elapsed))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_acceptance.py --record")
+    CRITERION_4_GOLDEN.write_text(
+        json.dumps(criterion_4_factorizations(), indent=1, sort_keys=True) + "\n")

@@ -50,8 +50,9 @@ class TestWorkedExamples:
         assert [(str(d), m) for d, m in f.pairs] == [("generator[(0,2)]", 10 ** 12)]
 
     def test_outside_submonoid(self, sstar):
-        with pytest.raises(sa.PreconditionError):
+        with pytest.raises(sa.PreconditionError) as info:
             sa.factor(w("w{0,3}"), sstar)
+        assert str(info.value) == "element w{0,3} is outside the submonoid of %s" % sstar
 
 
 class TestInvariants:
@@ -183,6 +184,23 @@ class TestOneCheckedPass:
         with pytest.raises(sa.FalsifiedInvariantError) as info:
             sa.factor(w("w{1,3}"), sstar)
         assert str(info.value) == "weight w{1,3} is not a prime descriptor of %s" % middle.snake
+
+    def test_non_generator_descriptor_interval(self, sstar, monkeypatch, fresh_memo):
+        # sstar's alphabet gains a descriptor weighing w{0,3}, which is not
+        # one of its generators
+        index = factorizer.descriptor_index
+        bad = w("w{0,3}")
+
+        def corrupt(s):
+            out = dict(index(s))
+            if s == sstar:
+                out[bad] = sa.PrimeDescriptor("generator", (sa.Interval(0, 3),), bad)
+            return out
+        monkeypatch.setattr(factorizer, "descriptor_index", corrupt)
+        with pytest.raises(sa.FalsifiedInvariantError) as info:
+            sa.factor(w("w{0,6}"), sstar)
+        assert str(info.value) == (
+            "descriptor weight interval (0,3) is not a generator of %s" % sstar)
 
 
 def stack_depth():
