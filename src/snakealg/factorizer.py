@@ -1,26 +1,25 @@
 """Canonical factorization of monoid elements into prime descriptors.
 
 The engine below is a case ledger.  It reads the head generators of a snake
-for either first alternation bit and otherwise only indices, so it runs on
-both orientations as they are.
+for either first alternation bit and otherwise only which generators an
+element holds, so it runs on both orientations as they are.
 
-Each snake is compiled once into a ``SnakeContext``: its generators interned
-to indices, its head generators and its descriptor alphabet keyed by integer
-exponent tuples.  The contexts the ledger hands work to (the tail and the
-extended snake ŝ) are compiled on first use, with the maps between their
-indices and the parent's.  The ledger runs on a map from index to exponent
-and peels the whole multiplicity of a case in one step, so its cost depends
-on the support of an element, not on its height.  An element that lives
-wholly over the tail goes to the tail's context, one level at a time, and
-only the top-level call checks the weight, unless that check fails (see
-``factor``).
+Each snake is compiled once into a ``SnakeContext``: its generators, its
+head generators and its descriptor alphabet keyed by weight.  The contexts
+the ledger hands work to (the tail and the extended snake ŝ) are compiled
+on first use.  They all have the same rank, so an interval names the same
+generator in each, and each works on an element as a map from interval to
+exponent.  The ledger peels the whole multiplicity of a case in one step,
+so its cost depends on the support of an element, not on its height.  An
+element that lives wholly over the tail goes to the tail's context, one
+level at a time, and only the top-level call checks the weight, unless that
+check fails (see ``factor``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
@@ -39,10 +38,10 @@ def snake_context(s: Snake) -> "SnakeContext":
 class SnakeContext:
     """Everything the ledger needs to know about one prime snake.
 
-    ``coords`` interns the generators to indices; an element maps each index
-    of its support to an exponent, and a descriptor weight is a tuple of
-    (index, exponent) pairs.  ``alphabet`` lists the descriptors in canonical
-    order, so sorting descriptor indices sorts factors.
+    An element maps each interval of its support to its exponent.
+    ``alphabet`` lists the descriptors in canonical order, so sorting
+    descriptor indices sorts factors; ``exps[k]`` is ``alphabet[k]``'s
+    weight as (interval, exponent) pairs, and ``index`` maps it back to k.
     """
 
     def __init__(self, s: Snake):
@@ -50,16 +49,14 @@ class SnakeContext:
         eps0 = require_prime(s).eps[0]
         self.alphabet = tuple(sorted(descriptor_index(s).values(),
                                      key=lambda d: (-d.weight.ht, d.weight.exps)))
-        self.coords = tuple(sorted(generator_intervals(s)))
-        self.pos = {iv: k for k, iv in enumerate(self.coords)}
-        try:
-            self.exps = tuple(tuple((self.pos[iv], e) for iv, e in d.weight.exps)
-                              for d in self.alphabet)
-        except KeyError as exc:
-            raise FalsifiedInvariantError(
-                "descriptor weight interval %s is not a generator of %s"
-                % (exc.args[0], s)) from None
-        self.index = {key: k for k, key in enumerate(self.exps)}
+        self.gens = generator_intervals(s)
+        self.exps = tuple(d.weight.exps for d in self.alphabet)
+        for exps in self.exps:
+            for iv, _ in exps:
+                if iv not in self.gens:
+                    raise FalsifiedInvariantError(
+                        "descriptor weight interval %s is not a generator of %s" % (iv, s))
+        self.index = {exps: k for k, exps in enumerate(self.exps)}
         self.head = _head_generators(s, eps0) if s.r >= 3 else None
         self._links: dict[str, _Link] = {}
         self._windows = None
@@ -67,34 +64,33 @@ class SnakeContext:
         # holds no reference to itself
         self._ledger = self._compile_ledger()
 
-    # -- indices ------------------------------------------------------------
+    # -- elements -----------------------------------------------------------
 
     def find(self, pairs) -> int | None:
         """The descriptor whose weight is the product of the (interval,
         exponent) pairs, or None."""
-        acc: dict[int, int] = {}
+        acc: dict[Interval, int] = {}
         for iv, e in pairs:
-            k = self.pos.get(iv)
-            if k is None:
-                return None
-            acc[k] = acc.get(k, 0) + e
+            acc[iv] = acc.get(iv, 0) + e
         return self.index.get(tuple(sorted(acc.items())))
 
     def _peel(self, *ivs) -> tuple[int | None, tuple[Interval, ...]]:
         return self.find((iv, 1) for iv in ivs), ivs
 
-    def vector(self, w: MonoidElement) -> dict[int, int]:
+    def vector(self, w: MonoidElement) -> dict[Interval, int]:
         if w.n != self.snake.n:
             raise PreconditionError("rank mismatch: %d vs %d" % (w.n, self.snake.n))
-        try:
-            return {self.pos[iv]: e for iv, e in w.exps}
-        except KeyError:
-            raise PreconditionError(
-                "element %s is outside the submonoid of %s" % (w, self.snake)) from None
+        v = dict(w.exps)
+        self._check_member(v)
+        return v
+
+    def _check_member(self, v) -> None:
+        if not self.gens.issuperset(v):
+            raise PreconditionError("element %s is outside the submonoid of %s"
+                                    % (self.element(v), self.snake))
 
     def element(self, v) -> MonoidElement:
-        return MonoidElement.from_pairs(self.snake.n,
-                                        zip(map(self.coords.__getitem__, v), v.values()))
+        return MonoidElement.from_pairs(self.snake.n, v.items())
 
     def link(self, kind: str) -> "_Link":
         """The tail context (kind "tail": positions 2..r) or the ŝ context
@@ -107,33 +103,31 @@ class SnakeContext:
             else:
                 ctx = snake_context(Snake(s.n, (self.head[1],) + s.intervals[2:]))
             link = self._links[kind] = _Link(
-                ctx, [ctx.pos.get(iv) for iv in self.coords],
-                [(self.find(d.weight.exps), d.intervals) for d in ctx.alphabet],
+                ctx, [(self.find(d.weight.exps), d.intervals) for d in ctx.alphabet],
                 [ctx.snake.intervals[0] in d.intervals for d in ctx.alphabet])
         return link
 
-    def _hand(self, link: "_Link", v: dict[int, int], checked: bool) -> dict[int, int]:
-        """Factor v over the context of link: by its solve if checked, else by its ledger."""
+    def _hand(self, link: "_Link", v: dict[Interval, int], checked: bool) -> dict[int, int]:
+        """Factor v over the context of link: by its solve if checked, which
+        leaves v as it is, else by its ledger, which consumes v (a failed
+        unchecked pass is run again checked, so no message shows a consumed v)."""
         ctx = link.ctx
-        cv = dict(zip(map(link.cmap.__getitem__, v), v.values()))
-        if None in cv:
-            raise PreconditionError("element %s is outside the submonoid of %s"
-                                    % (self.element(v), ctx.snake))
+        ctx._check_member(v)
         if checked:
-            return ctx.solve(cv, True)
+            return ctx.solve(v, True)
         counts: dict[int, int] = {}
-        ctx._ledger(ctx, cv, counts, False)
+        ctx._ledger(ctx, v, counts, False)
         return counts
 
     # -- the ledger ---------------------------------------------------------
 
-    def solve(self, v: dict[int, int], checked: bool) -> dict[int, int]:
+    def solve(self, v: dict[Interval, int], checked: bool) -> dict[int, int]:
         """Multiplicity of each descriptor in the canonical factorization of
         the element v, checked to multiply back to v (checked: at every level)."""
         counts: dict[int, int] = {}
         if v:
             self._ledger(self, dict(v), counts, checked)
-        total: dict[int, int] = {}
+        total: dict[Interval, int] = {}
         for k, m in counts.items():
             for c, e in self.exps[k]:
                 total[c] = total.get(c, 0) + e * m
@@ -155,7 +149,7 @@ class SnakeContext:
 
     def _take(self, v, counts, peel, m) -> None:
         """Emit m copies of the descriptor of peel and take their weight out
-        of v, dropping every index whose exponent reaches 0."""
+        of v, dropping every interval whose exponent reaches 0."""
         for c, e in self.exps[self._emit(counts, peel, m)]:
             left = v.get(c, 0) - e * m
             if left:
@@ -168,13 +162,10 @@ class SnakeContext:
         if s.r <= 2:
             return SnakeContext._greedy
         g1, g2, g3, g4, g22, g23 = self.head
-        tail = generator_intervals(s.subsnake(2, s.r))
-        # per index, whether its generator lives over the tail
-        self.intail = [iv in tail for iv in self.coords]
-        self.i1, self.i3, self.i22 = self.pos[g1], self.pos[g3], self.pos[g22]
-        self.i4 = self.pos.get(g4)
-        self.i23 = self.pos.get(g23)
-        self.i2 = None if g2 in tail else self.pos.get(g2)
+        # the generators of the first tail
+        self.tail = generator_intervals(s.subsnake(2, s.r))
+        # g2 starts the slanted prefix unless the tail takes it
+        self.slant = None if g2 in self.tail else g2
         self.p4 = self._peel(g4)
         self.p3_22, self.p3 = self._peel(g3, g22), self._peel(g3)
         self.p1_23, self.p23 = self._peel(g1, g23), self._peel(g23)
@@ -201,41 +192,41 @@ class SnakeContext:
         the same peel lasts, every exponent it lowers stays positive, so the
         support, and with it every earlier case, is unchanged.
         """
-        i1, i3, i4, i22, i23 = self.i1, self.i3, self.i4, self.i22, self.i23
-        intail = self.intail.__getitem__
+        # a head generator that is not a generator of s is never a key of v
+        g1, _, g3, g4, g22, g23 = self.head
         while v:
-            # everything lives over the tail
-            if all(map(intail, v)):
+            # everything lives over the tail; the tail's ledger consumes v
+            if self.tail.issuperset(v):
                 link = self.link("tail")
                 for j, m in self._hand(link, v, checked).items():
                     self._emit(counts, link.lift[j], m)
                 return
             # anti-connected extremal generator splits off freely
-            if i4 in v:
-                self._take(v, counts, self.p4, v[i4])
+            if g4 in v:
+                self._take(v, counts, self.p4, v[g4])
                 continue
             # the long head generator: paired with the second interval while
             # both last, then alone
-            if i3 in v:
-                if i22 in v:
-                    self._take(v, counts, self.p3_22, min(v[i3], v[i22]))
+            if g3 in v:
+                if g22 in v:
+                    self._take(v, counts, self.p3_22, min(v[g3], v[g22]))
                 else:
-                    self._take(v, counts, self.p3, v[i3])
+                    self._take(v, counts, self.p3, v[g3])
                 continue
             # the deep cross generator: paired with the head interval while
             # both last, then alone
-            if i23 in v:
-                if i1 in v:
-                    self._take(v, counts, self.p1_23, min(v[i23], v[i1]))
+            if g23 in v:
+                if g1 in v:
+                    self._take(v, counts, self.p1_23, min(v[g23], v[g1]))
                 else:
-                    self._take(v, counts, self.p23, v[i23])
+                    self._take(v, counts, self.p23, v[g23])
                 continue
             # extra copies of the head interval
-            a1, a22 = v.get(i1, 0), v.get(i22, 0)
+            a1, a22 = v.get(g1, 0), v.get(g22, 0)
             if a1 > a22:
                 self._take(v, counts, self.p1, a1 - a22)
                 continue
-            if self.i2 in v:
+            if self.slant in v:
                 self._slanted_prefix(v, counts, checked)
                 continue
             self._prefix_windows(v, counts, checked)
@@ -244,7 +235,8 @@ class SnakeContext:
     def _slanted_prefix(self, v, counts, checked):
         """Peel the slanted prefix through the extended snake ŝ of length r-1."""
         link = self.link("shat")
-        what = {k: e for k, e in v.items() if k != self.i1 and k != self.i22}
+        g1, g22 = self.head[0], self.head[4]
+        what = {iv: e for iv, e in v.items() if iv != g1 and iv != g22}
         special = [(j, m) for j, m in sorted(self._hand(link, what, checked).items())
                    if link.has_head[j]]
         if not special:
@@ -257,11 +249,12 @@ class SnakeContext:
     def _prefix_windows(self, v, counts, checked):
         """Final case: push everything through the tail and re-read the
         factors that carry the second interval as prefix windows of s."""
-        a1, c = v.get(self.i1, 0), v.get(self.i22, 0)
+        g1, g22 = self.head[0], self.head[4]
+        a1, c = v.get(g1, 0), v.get(g22, 0)
         if c == 0:
             raise FalsifiedInvariantError(
                 "ledger exhausted for %s over %s" % (self.element(v), self.snake))
-        wtil = {k: e for k, e in v.items() if k != self.i1}
+        wtil = {iv: e for iv, e in v.items() if iv != g1}
         link = self.link("tail")
         orders, with_g1 = self._prefix_table(link)
         special, rest = [], []
@@ -327,15 +320,12 @@ def _head_generators(s: Snake, e1: int) -> tuple[Interval, ...]:
             Interval(iv(2 + e1).i, iv(3 - e1).j))
 
 
-class _Link(NamedTuple):
-    """A context of a shorter snake that a parent context hands part of an
-    element to, with the maps between their indices.  Both snakes have the
-    same rank, so an interval means the same generator in each."""
-
-    ctx: SnakeContext
-    cmap: list  # per parent index, the child's, or None
-    lift: list  # per child descriptor, the peel of its intervals in the parent
-    has_head: list  # per child descriptor, whether it has g2 (for ŝ) or g22 (the tail)
+# A context of a shorter snake, ctx, that a parent context hands part of an
+# element to, with per child descriptor the peel of its intervals in the
+# parent (lift) and whether it has g2, for ŝ, or g22, for the tail (has_head).
+# Both snakes have the same rank, so an interval means the same generator in
+# each, and the child works on the parent's map as it is.
+_Link = namedtuple("_Link", "ctx lift has_head")
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ class TestFactor:
         ctx = snake_context(tail)
         k = next(k for k, d in enumerate(ctx.alphabet) if str(d) == "generator[(1,3)]")
         exps = list(ctx.exps)
-        exps[k] = ((ctx.pos[sa.Interval(1, 3)], 2),)
+        exps[k] = ((sa.Interval(1, 3), 2),)
         monkeypatch.setattr(ctx, "exps", tuple(exps))
         code, doc = run(capsys, "factor", "--snake", SSTAR, "--omega", "w{1,3}")
         assert code == 4

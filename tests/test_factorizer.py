@@ -147,7 +147,7 @@ class TestOneCheckedPass:
         ctx = snake_context(tail)
         k = next(k for k, d in enumerate(ctx.alphabet) if str(d) == "generator[(1,3)]")
         exps = list(ctx.exps)
-        exps[k] = ((ctx.pos[sa.Interval(1, 3)], 2),)
+        exps[k] = ((sa.Interval(1, 3), 2),)
         monkeypatch.setattr(ctx, "exps", tuple(exps))
         with pytest.raises(sa.FalsifiedInvariantError) as info:
             sa.factor(w("w{1,3}"), sstar)
