@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ParseError, PreconditionError
 
 
-class Interval(NamedTuple):
-    i: int
-    j: int
+class Interval(namedtuple("Interval", "i j")):
+    """The interval [i, j]; at rank n it names the generator w{i,j}."""
+
+    __slots__ = ()
 
     @property
     def length(self) -> int:

@@ -5,9 +5,9 @@ check on the canonical factorizer."""
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator
 
 from .core import Interval, MonoidElement, Snake
 from .errors import PreconditionError

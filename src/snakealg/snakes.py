@@ -3,9 +3,9 @@ alternation bits and interleaving chains of a snake, and the per-snake memo."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import NamedTuple
 
 from .core import Interval, Snake, is_trivial
 from .errors import NotAlternatingError, PreconditionError
@@ -61,14 +61,17 @@ def is_boundary(s: Snake) -> bool:
     return s.j_max - s.i_min == s.n + 1 and s.j_min == s.i_max
 
 
-class Step(NamedTuple):
-    """What one more interval does to the classification of a prefix."""
+class Step(namedtuple("Step", "bit alternates stable connected keeps_prime")):
+    """What one more interval does to the classification of a prefix.
 
-    bit: int | None    # alternation bit of the new adjacent pair; None: it has none
-    alternates: bool   # the bit differs from the prefix's last bit
-    stable: bool       # alternates; differs from and nests in each interval two or more back
-    connected: bool    # stable, and the new adjacent pair is linked
-    keeps_prime: bool  # stable, and the new distance-2 pair differs at both endpoints
+    - bit: alternation bit of the new adjacent pair; None: it has none
+    - alternates: the bit differs from the prefix's last bit
+    - stable: alternates; differs from and nests in each interval two or more back
+    - connected: stable, and the new adjacent pair is linked
+    - keeps_prime: stable, and the new distance-2 pair differs at both endpoints
+    """
+
+    __slots__ = ()
 
 
 _NO_BIT = Step(None, False, False, False, False)
