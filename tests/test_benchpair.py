@@ -76,3 +76,35 @@ class TestCompare:
         assert out["change_better_in_pairs"] == {"ops": "0 of 0", "ms": "0 of 0"}
         assert out["base_iqr"] == out["median_gap"] == out["resolved"] == {
             "ops": None, "ms": None}
+
+
+def sides(base_ops, change_ops):
+    runs = []
+    for pair, (b, c) in enumerate(zip(base_ops, change_ops)):
+        runs += [run(pair, "base", ops=b, ms=1000.0 / b),
+                 run(pair, "change", ops=c, ms=1000.0 / c)]
+    return runs
+
+
+class TestRegression:
+    BOUNDS = {"ops": 0.25, "ms": 0.25}
+
+    def test_none_within_the_bound(self):
+        out = benchpair.compare(sides([10.0] * 4, [8.5] * 4), BETTER, self.BOUNDS)
+        # 15% fewer ops/s and 18% more ms: neither is past its bound of 25%
+        assert out["regression"] == {"ops": "none", "ms": "none"}
+
+    def test_beyond_the_bound(self):
+        out = benchpair.compare(sides([10.0] * 4, [7.0] * 4), BETTER, self.BOUNDS)
+        assert out["regression"] == {"ops": "beyond_bound", "ms": "beyond_bound"}
+
+    def test_unresolved_when_the_base_spreads_wider_than_the_bound(self):
+        base = [5.0, 10.0, 15.0, 20.0]
+        out = benchpair.compare(sides(base, [12.0] * 4), BETTER, self.BOUNDS)
+        assert out["regression"] == {"ops": "unresolved", "ms": "unresolved"}
+        # unless every change run beats every base run
+        out = benchpair.compare(sides(base, [30.0] * 4), BETTER, self.BOUNDS)
+        assert out["regression"] == {"ops": "none", "ms": "none"}
+
+    def test_no_bounds_no_gate(self):
+        assert benchpair.compare(RUNS, BETTER)["regression"] == {"ops": None, "ms": None}

@@ -17,7 +17,9 @@ reported metrics and whose outputs passed the check; the count per side of
 the runs left out; the count of pairs in which the change is better, the
 base's interquartile range, the gap between the medians (change minus base),
 whether that gap is wider than the base's interquartile range
-(``resolved``), and every run as reported. The file is rewritten after each
+(``resolved``), whether the change stays within the metric's ``bound`` in
+the change's ``BENCHMARK.json`` (``regression``), and every run as
+reported. The file is rewritten after each
 workload and seed, so an interrupted run keeps what it measured. Stdlib only.
 """
 
@@ -98,11 +100,27 @@ def measured(run: dict) -> bool:
     return "metrics" in run and run.get("correct") is not False
 
 
-def compare(runs: list[dict], better: dict[str, str]) -> dict:
+def regression(base: dict, change: dict, direction: str, bound: float) -> str:
+    """The no-regression gate on two summaries, with bound a fraction of the
+    base median: "unresolved" when the base's interquartile range is wider
+    than the bound and not every change run beats every base run, else
+    "beyond_bound" when the change's median is worse than the base's by more
+    than the bound, else "none"."""
+    sign = 1 if direction == "higher" else -1
+    limit = bound * abs(base["median"])
+    if base["q3"] - base["q1"] > limit and not all(
+            sign * (c - b) > 0 for c in change["values"] for b in base["values"]):
+        return "unresolved"
+    return "beyond_bound" if sign * (base["median"] - change["median"]) > limit else "none"
+
+
+def compare(runs: list[dict], better: dict[str, str],
+            bounds: dict[str, float] | None = None) -> dict:
     """Per-side summaries and, per metric, the pairs the change wins (a tie
-    counts for neither side) and the median gap against the base's spread.
-    Runs without metrics, and runs whose outputs failed the check, are left
-    out; ``left_out`` counts them per side."""
+    counts for neither side), the median gap against the base's spread and,
+    for each metric with a bound, the no-regression gate.  Runs without
+    metrics, and runs whose outputs failed the check, are left out;
+    ``left_out`` counts them per side."""
     kept = [r for r in runs if measured(r)]
     sides = {side: [r for r in kept if r["side"] == side] for side in ("base", "change")}
     out = {side: {m: summary([r["metrics"][m] for r in rs])
@@ -120,7 +138,7 @@ def compare(runs: list[dict], better: dict[str, str]) -> dict:
                 and sign * (p["change"] - p["base"]) > 0),
             sum(1 for p in pairs.values() if len(p) == 2))
     out["change_better_in_pairs"] = wins
-    fields = ("median_ratio", "base_iqr", "median_gap", "resolved")
+    fields = ("median_ratio", "base_iqr", "median_gap", "resolved", "regression")
     for f in fields:
         out[f] = {}
     for m in better:
@@ -132,6 +150,8 @@ def compare(runs: list[dict], better: dict[str, str]) -> dict:
             row["base_iqr"] = base["q3"] - base["q1"]
             row["median_gap"] = change["median"] - base["median"]
             row["resolved"] = abs(row["median_gap"]) > row["base_iqr"]
+            if bounds is not None:
+                row["regression"] = regression(base, change, better[m], bounds[m])
         for f in fields:
             out[f][m] = row[f]
     return out
@@ -154,6 +174,7 @@ def main(argv=None) -> int:
                for side, ref in (("base", args.base), ("change", args.change))}
     bench = json.loads(git("show", commits["change"] + ":BENCHMARK.json"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     doc = {
         "base": {"ref": args.base, "commit": commits["base"]},
@@ -162,6 +183,7 @@ def main(argv=None) -> int:
         "base_benchmark_differs": bool(git("diff", "--name-only", commits["base"],
                                            commits["change"], "--", *BENCH_PATHS)),
         "seconds": seconds,
+        "bounds": bounds,
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "processor": platform.processor()},
         "results": [],
@@ -180,7 +202,7 @@ def main(argv=None) -> int:
                         workload, seed, pair, side, run["exit"],
                         run.get("metrics", {}).get("throughput_ops_per_s")), flush=True)
             doc["results"].append(dict(workload=workload, seed=seed, pairs=args.pairs,
-                                       **compare(runs, better), runs=runs))
+                                       **compare(runs, better, bounds), runs=runs))
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     failed = [r for res in doc["results"] for r in res["runs"] if r["exit"] != 0]
     return 1 if failed else 0
