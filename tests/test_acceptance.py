@@ -87,6 +87,18 @@ def test_criterion_3_closure(corpus):
     report("criterion 3", "closure and boundary identity on %d snakes" % checked)
 
 
+def factors_line(f, labels) -> bytes:
+    """Each factor of f with its multiplicity, in output order.  labels maps
+    id(d) to (d, str(d)); holding d keeps its id its own."""
+    parts = []
+    for d, m in f.pairs:
+        label = labels.get(id(d))
+        if label is None:
+            label = labels[id(d)] = d, str(d)
+        parts.append("%s*%d" % (label[1], m))
+    return b"%s\n" % ";".join(parts).encode()
+
+
 def criterion_4_factorizations() -> dict:
     """Factor every descriptor weight and every monomial of height <= 5 over
     each prime snake with r <= 4, span <= 9, and check each factorization.
@@ -102,24 +114,12 @@ def criterion_4_factorizations() -> dict:
     for s in snakes:
         h = digests.setdefault(str(s.r), hashlib.sha256())
         h.update(b"%s\n" % str(s).encode())
-        # id to (descriptor, text); keeping the descriptor alive keeps its id
-        # its own
         labels = {}
-
-        def line(f):
-            parts = []
-            for d, m in f.pairs:
-                label = labels.get(id(d))
-                if label is None:
-                    label = labels[id(d)] = d, str(d)
-                parts.append("%s*%d" % (label[1], m))
-            h.update(b"%s\n" % ";".join(parts).encode())
-
         index = sa.descriptor_index(s)
         for d in index.values():
             f = sa.factor(d.weight, s)
             assert f.weight_multiset() == (d.weight,), (str(s), str(d.weight))
-            line(f)
+            h.update(factors_line(f, labels))
         for w in monomials(s, 5):
             f = sa.factor(w, s)
             got = Counter()
@@ -128,7 +128,7 @@ def criterion_4_factorizations() -> dict:
                 for iv, e in d.weight.exps:
                     got[iv] += e * m
             assert got == dict(w.exps), (str(s), str(w))
-            line(f)
+            h.update(factors_line(f, labels))
             total += 1
     return {"snakes": len(snakes), "elements": total,
             "digests": {r: h.hexdigest() for r, h in digests.items()}}
