@@ -18,9 +18,9 @@ the runs left out; the count of pairs in which the change is better, the
 base's interquartile range, the gap between the medians (change minus base),
 whether that gap is wider than the base's interquartile range
 (``resolved``), whether the change stays within the metric's ``bound`` in
-the change's ``BENCHMARK.json`` (``regression``), and every run as
-reported. The file is rewritten after each
-workload and seed, so an interrupted run keeps what it measured. Stdlib only.
+the change's ``BENCHMARK.json`` (``regression``), and every run as reported.
+The file is rewritten after each workload and seed, so an interrupted run
+keeps what it measured. Stdlib only.
 """
 
 from __future__ import annotations
