@@ -10,8 +10,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ParseError, PreconditionError
 
@@ -46,8 +45,49 @@ def is_trivial(iv: Interval, n: int) -> bool:
     return iv.j - iv.i in (0, n + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class MonoidElement:
+class _Value:
+    """A frozen value with slots.  ``__match_args__`` names its fields: the
+    constructor sets them unchecked, in that order, and equality, the repr
+    and pickling read them.  The hash is computed on first use and kept."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__match_args__)
+        cls._key = property(get if len(cls.__match_args__) > 1 else lambda v: (get(v),))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+
+    def __init__(self, *values):
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        if self._hash is None:
+            _set_hash(self, hash(self._key))
+        return self._hash
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % pair for pair in zip(self.__match_args__, self._key)))
+
+    def __reduce__(self):
+        return type(self), self._key
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+
+_set_hash = _Value._hash.__set__
+
+
+class MonoidElement(_Value):
     """A normalized word in the free commutative monoid over rank-n intervals.
 
     ``exps`` is a lexicographically sorted tuple of (interval, multiplicity)
@@ -58,11 +98,10 @@ class MonoidElement:
     ``parse_monoid_element``) checks every interval.
     """
 
-    n: int
-    exps: tuple[tuple[Interval, int], ...]
+    __match_args__ = __slots__ = ("n", "exps")
 
     @staticmethod
-    def from_exponents(n: int, exponents: Mapping[Interval, int]) -> "MonoidElement":
+    def from_exponents(n: int, exponents: dict[Interval, int]) -> "MonoidElement":
         items = []
         for iv, e in exponents.items():
             if type(iv) is not Interval:
@@ -78,7 +117,7 @@ class MonoidElement:
         return MonoidElement(n, tuple(items))
 
     @staticmethod
-    def from_pairs(n: int, pairs: Iterable[tuple[Interval, int]]) -> "MonoidElement":
+    def from_pairs(n: int, pairs) -> "MonoidElement":
         """The product of (interval, exponent) pairs; repeated intervals add up."""
         acc: dict[Interval, int] = {}
         for iv, e in pairs:
@@ -183,8 +222,7 @@ def parse_monoid_element(text: str, n: int) -> MonoidElement:
         raise ParseError(str(exc)) from exc
 
 
-@dataclass(frozen=True, slots=True)
-class Snake:
+class Snake(_Value):
     """An ordered tuple of rank-n intervals.
 
     Construction only enforces the interval bound; the classification
@@ -192,26 +230,27 @@ class Snake:
     ``Snake._of`` is the internal constructor, which checks nothing.
     """
 
-    n: int
-    intervals: tuple[Interval, ...]
+    __match_args__ = __slots__ = ("n", "intervals")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, intervals: tuple[Interval, ...]):
+        if n < 1:
             raise PreconditionError("rank must be >= 1")
-        if not self.intervals:
+        if not intervals:
             raise PreconditionError("snake must have at least one interval")
-        ivs = tuple(Interval(*iv) for iv in self.intervals)
-        object.__setattr__(self, "intervals", ivs)
+        ivs = tuple(Interval(*iv) for iv in intervals)
         for iv in ivs:
-            _check_interval(iv, self.n)
+            _check_interval(iv, n)
+        _Value.__init__(self, n, ivs)
 
     @staticmethod
     def _of(n: int, intervals: tuple[Interval, ...]) -> "Snake":
         """The snake on a non-empty tuple of Intervals checked at rank n >= 1."""
         s = object.__new__(Snake)
-        object.__setattr__(s, "n", n)
-        object.__setattr__(s, "intervals", intervals)
+        _Value.__init__(s, n, intervals)
         return s
+
+    def __reduce__(self):
+        return Snake._of, self._key
 
     @property
     def r(self) -> int:

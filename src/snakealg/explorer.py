@@ -5,11 +5,9 @@ check on the canonical factorizer."""
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import chain
 
-from .core import Interval, MonoidElement, Snake
+from .core import Interval, MonoidElement, Snake, _Value
 from .errors import PreconditionError
 from .primesets import descriptor_index
 from .snakes import Step, classify, extend, is_boundary, pair_rank
@@ -23,34 +21,32 @@ N_CAP = SPAN_CAP + 1
 DRAW_BUDGET = 20000
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    r_max: int
-    span: int
-    n_range: tuple[int, int] | None = None
-    translation_normalized: bool = True
-    filters: frozenset = field(default_factory=frozenset)
+class CorpusSpec(_Value):
+    __match_args__ = __slots__ = (
+        "r_max", "span", "n_range", "translation_normalized", "filters")
 
-    def __post_init__(self):
-        if not (1 <= self.span <= SPAN_CAP and 1 <= self.r_max <= R_CAP):
+    def __init__(self, r_max: int, span: int, n_range: tuple[int, int] | None = None,
+                 translation_normalized: bool = True, filters: frozenset = frozenset()):
+        if not (1 <= span <= SPAN_CAP and 1 <= r_max <= R_CAP):
             raise PreconditionError(
                 "corpus bounds r_max=%d span=%d outside 1..%d and 1..%d"
-                % (self.r_max, self.span, R_CAP, SPAN_CAP))
-        bad = set(self.filters) - {"stable", "connected", "prime", "boundary"}
+                % (r_max, span, R_CAP, SPAN_CAP))
+        bad = set(filters) - {"stable", "connected", "prime", "boundary"}
         if bad:
             raise PreconditionError("unknown filters: %s" % sorted(bad))
         # the boundary filter lists prime snakes of the boundary shape, so it
         # implies prime; every filter test below reads this normalized set
-        if "boundary" in self.filters:
-            object.__setattr__(self, "filters", frozenset(self.filters) | {"prime"})
-        if self.n_range is not None and not (
-                isinstance(self.n_range, tuple) and len(self.n_range) == 2
-                and all(type(n) is int for n in self.n_range)):
+        if "boundary" in filters:
+            filters = frozenset(filters) | {"prime"}
+        if n_range is not None and not (
+                isinstance(n_range, tuple) and len(n_range) == 2
+                and all(type(n) is int for n in n_range)):
             raise PreconditionError(
-                "n_range must be None or a pair of integers, got %r" % (self.n_range,))
-        if self.n_range is not None and self.n_range[1] > N_CAP:
+                "n_range must be None or a pair of integers, got %r" % (n_range,))
+        if n_range is not None and n_range[1] > N_CAP:
             raise PreconditionError(
-                "n_range %r reaches past the rank cap %d" % (self.n_range, N_CAP))
+                "n_range %r reaches past the rank cap %d" % (n_range, N_CAP))
+        _Value.__init__(self, r_max, span, n_range, translation_normalized, filters)
 
 
 def _admits(step: Step, filters) -> bool:
@@ -93,7 +89,7 @@ def _alphabet(spec: CorpusSpec) -> list[Interval]:
             for j in range(i + 1, spec.span + 1)]
 
 
-def enumerate_snakes(spec: CorpusSpec) -> Iterator[Snake]:
+def enumerate_snakes(spec: CorpusSpec):
     """Every snake meeting the spec, translation-normalized, exactly once,
     in deterministic order: depth first, children in alphabet order.
 
@@ -108,7 +104,7 @@ def enumerate_snakes(spec: CorpusSpec) -> Iterator[Snake]:
     nested = {o: [iv for iv in alphabet if o.i <= iv.i < iv.j <= o.j]
               for o in alphabet}
 
-    def walk(prefix: tuple[Interval, ...], bit: int | None) -> Iterator[tuple[Interval, ...]]:
+    def walk(prefix: tuple[Interval, ...], bit: int | None):
         yield prefix
         if len(prefix) == spec.r_max or (
                 spec.translation_normalized and len(prefix) == 2

@@ -19,9 +19,8 @@ check fails (see ``factor``).
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 
-from .core import Interval, MonoidElement, Snake
+from .core import Interval, MonoidElement, Snake, _Value
 from .errors import FalsifiedInvariantError, PreconditionError
 from .primesets import (PrimeDescriptor, descriptor_index, generator_intervals,
                         window_cuts)
@@ -328,12 +327,11 @@ def _head_generators(s: Snake, e1: int) -> tuple[Interval, ...]:
 _Link = namedtuple("_Link", "ctx lift has_head")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Value):
     """Distinct descriptors with their multiplicities, in canonical order:
     falling height, then weight."""
 
-    pairs: tuple[tuple[PrimeDescriptor, int], ...]
+    __match_args__ = __slots__ = ("pairs",)
 
     @property
     def factors(self) -> tuple[PrimeDescriptor, ...]:

@@ -6,7 +6,7 @@ A class is identified by its normalized weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
@@ -14,9 +14,8 @@ from .factorizer import factor
 from .snakes import both_ends_differ, crossed, require_prime
 
 
-@dataclass(frozen=True)
-class IrredClass:
-    omega: MonoidElement
+class IrredClass(namedtuple("IrredClass", "omega")):
+    __slots__ = ()
 
     def __str__(self):
         return "[V(%s)]" % self.omega
@@ -34,13 +33,9 @@ def _tail_weight(s: Snake, start: int) -> MonoidElement:
     return s.subsnake(start, s.r).weight
 
 
-@dataclass(frozen=True)
-class ExchangeTriple:
-    snake: Snake
-    left: tuple[IrredClass, IrredClass]
-    term1: IrredClass
-    term2: IrredClass
-    term2_components: tuple[IrredClass, ...]
+# left[0] * left[1] = term1 + term2 in the classes of snake, and term2 is
+# the product of term2_components
+ExchangeTriple = namedtuple("ExchangeTriple", "snake left term1 term2 term2_components")
 
 
 def _raw_endpoints(intervals):

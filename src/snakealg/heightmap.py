@@ -10,7 +10,7 @@ snake each raise with a witness if they fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
@@ -44,12 +44,8 @@ def p_sequence(s: Snake) -> tuple[int, ...]:
     return tuple(p)
 
 
-@dataclass(frozen=True)
-class HeightProfile:
-    snake: Snake
-    N: int
-    p_seq: tuple[int, ...]
-    xi: tuple[int, ...]  # xi[t-1] is the value at t, 1 <= t <= N
+class HeightProfile(namedtuple("HeightProfile", "snake N p_seq xi")):
+    __slots__ = ()  # xi[t-1] is the value at t, 1 <= t <= N
 
     def xi_at(self, t: int) -> int:
         if not 1 <= t <= self.N:

@@ -10,9 +10,8 @@ same positions in the other.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .core import Interval, MonoidElement, Snake
+from .core import Interval, MonoidElement, Snake, _Value
 from .errors import FalsifiedInvariantError, PreconditionError
 from .factorizer import factor
 from .primesets import generator_intervals
@@ -43,14 +42,14 @@ def check_iso_conditions(s: Snake, t: Snake) -> bool:
     return _match(s, t) is not None
 
 
-@dataclass(frozen=True)
-class SnakeIso:
-    source: Snake
-    target: Snake
-    pairs: tuple[tuple[Interval, Interval], ...]
+class SnakeIso(_Value):
+    __match_args__ = ("source", "target", "pairs")
+    __slots__ = __match_args__ + ("_map",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.pairs))
+    def __init__(self, source: Snake, target: Snake,
+                 pairs: tuple[tuple[Interval, Interval], ...]):
+        _Value.__init__(self, source, target, pairs)
+        object.__setattr__(self, "_map", dict(pairs))
 
     @property
     def mapping(self) -> dict:

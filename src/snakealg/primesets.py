@@ -3,7 +3,7 @@ distinguished descriptor sets used as the factorization alphabet."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 from .core import Interval, MonoidElement, Snake, _check_interval, is_trivial
@@ -130,14 +130,11 @@ def window_snake(s: Snake, e: int, e2: int, p: int, l: int) -> Snake:
     return Snake._of(s.n, ivs)
 
 
-@dataclass(frozen=True)
-class PrimeDescriptor:
-    """A prime or frozen descriptor; its weight is the product of its
-    intervals."""
+class PrimeDescriptor(namedtuple("PrimeDescriptor", "kind intervals weight")):
+    """A prime or frozen descriptor of kind generator, window, pair or
+    extremal; its weight is the product of its intervals."""
 
-    kind: str  # generator | window | pair | extremal
-    intervals: tuple[Interval, ...]
-    weight: MonoidElement
+    __slots__ = ()
 
     def __str__(self):
         return "%s[%s]" % (self.kind, ",".join(str(iv) for iv in self.intervals))

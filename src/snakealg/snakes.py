@@ -4,7 +4,6 @@ alternation bits and interleaving chains of a snake, and the per-snake memo."""
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 from .core import Interval, Snake, is_trivial
@@ -139,12 +138,8 @@ def epsilon_sequence(s: Snake) -> tuple[int, ...]:
     return _closed([step.bit for step in steps])
 
 
-@dataclass(frozen=True)
-class SnakeClassification:
-    stable: bool
-    connected: bool
-    prime: bool
-    eps: tuple[int, ...] | None
+# eps is None when the snake is not stable
+SnakeClassification = namedtuple("SnakeClassification", "stable connected prime eps")
 
 
 _UNSTABLE = SnakeClassification(False, False, False, None)

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from datetime import timedelta
 
 import pytest
@@ -295,6 +298,18 @@ class TestSelftest:
         code, doc = run(capsys, "selftest")
         assert code == 0
         assert all(v > 0 for v in doc["passed"].values())
+
+
+class TestImportPath:
+    def test_no_dataclasses_inspect_or_typing(self):
+        # pytest has imported all three in this process, so a fresh
+        # interpreter without site-packages imports the CLI
+        code = ("import sys, snakealg.cli; print(sorted(set(sys.modules) & "
+                "{'dataclasses', 'inspect', 'typing', 'ast', 'dis'}))")
+        src = os.path.dirname(os.path.dirname(sa.__file__))
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout == "[]\n"
 
 
 # Prime snakes of every length up to R_CAP, boundary ones among them, that

@@ -244,6 +244,137 @@ class TestValueSemantics:
 
     def test_frozen(self, sstar):
         for name, value, _ in _value_paths(sstar):
-            for field in dataclasses.fields(value):
+            fields = ("n", "intervals") if isinstance(value, Snake) else ("n", "exps")
+            for field in fields:
                 with pytest.raises(dataclasses.FrozenInstanceError):
-                    setattr(value, field.name, getattr(value, field.name))
+                    setattr(value, field, getattr(value, field))
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(value, field)
+
+
+H3_TEXT = "[(0,3),(2,4),(1,2)] @ n=3"
+S2_REPR = "Snake(n=3, intervals=(Interval(i=0, j=2), Interval(i=-1, j=1)))"
+# the classes of w{0,2}, w{-1,1}, their product, w{-1,2}, w{0,1} and the
+# product of those two, at rank 3
+V02 = "IrredClass(omega=MonoidElement(n=3, exps=((Interval(i=0, j=2), 1),)))"
+V11 = "IrredClass(omega=MonoidElement(n=3, exps=((Interval(i=-1, j=1), 1),)))"
+W_S2 = "MonoidElement(n=3, exps=((Interval(i=-1, j=1), 1), (Interval(i=0, j=2), 1)))"
+V12 = "IrredClass(omega=MonoidElement(n=3, exps=((Interval(i=-1, j=2), 1),)))"
+V01 = "IrredClass(omega=MonoidElement(n=3, exps=((Interval(i=0, j=1), 1),)))"
+W_X = "MonoidElement(n=3, exps=((Interval(i=-1, j=2), 1), (Interval(i=0, j=1), 1)))"
+
+
+# (name, value, twin, repr at the time the types were dataclasses, fields);
+# each twin is built another way than its value
+def _typed_values(s2):
+    w = sa.parse_monoid_element("w{0,2} * w{-1,1}", 3)
+    w2 = MonoidElement.from_exponents(3, {(-1, 1): 1, (0, 2): 1})
+    d = sa.pr_set(s2)[0]
+    h = sa.height_profile(sa.parse_snake(H3_TEXT))
+    s2b = sa.parse_snake(str(s2))
+    t = sa.exchange_triple(s2)
+    spec = sa.CorpusSpec(3, 6, (2, 5), True, frozenset({"prime"}))
+    return [
+        ("PrimeDescriptor", d,
+         sa.PrimeDescriptor("generator", (Interval(0, 2),),
+                            MonoidElement.from_pairs(3, [((0, 2), 1)])),
+         "PrimeDescriptor(kind='generator', intervals=(Interval(i=0, j=2),), "
+         "weight=MonoidElement(n=3, exps=((Interval(i=0, j=2), 1),)))",
+         ("kind", "intervals", "weight")),
+        ("Factorization", sa.factor(w, s2), sa.factor(w2, s2b),
+         "Factorization(pairs=((PrimeDescriptor(kind='pair', intervals=(Interval(i=0, j=2), "
+         "Interval(i=-1, j=1)), weight=" + W_S2 + "), 1),))",
+         ("pairs",)),
+        ("SnakeClassification", sa.classify(s2),
+         sa.SnakeClassification(True, True, True, tuple([0, 1])),
+         "SnakeClassification(stable=True, connected=True, prime=True, eps=(0, 1))",
+         ("stable", "connected", "prime", "eps")),
+        ("HeightProfile", h,
+         sa.HeightProfile(sa.parse_snake(H3_TEXT), 3, tuple([1, 2, 3]), tuple([3, 4, 3])),
+         "HeightProfile(snake=Snake(n=3, intervals=(Interval(i=0, j=3), Interval(i=2, j=4), "
+         "Interval(i=1, j=2))), N=3, p_seq=(1, 2, 3), xi=(3, 4, 3))",
+         ("snake", "N", "p_seq", "xi")),
+        ("SnakeIso", sa.build_iso(s2, s2), sa.SnakeIso(s2b, s2b, tuple(
+            (Interval(i, j), Interval(i, j)) for i, j in ((-1, 1), (-1, 2), (0, 1), (0, 2)))),
+         "SnakeIso(source=%s, target=%s, pairs=((Interval(i=-1, j=1), Interval(i=-1, j=1)), "
+         "(Interval(i=-1, j=2), Interval(i=-1, j=2)), (Interval(i=0, j=1), Interval(i=0, j=1)), "
+         "(Interval(i=0, j=2), Interval(i=0, j=2))))" % (S2_REPR, S2_REPR),
+         ("source", "target", "pairs")),
+        ("IrredClass", sa.irred_class(w, s2), sa.IrredClass(w2),
+         "IrredClass(omega=%s)" % W_S2, ("omega",)),
+        ("ExchangeTriple", t, sa.ExchangeTriple(
+            s2b, tuple(map(sa.IrredClass, (t.left[0].omega, t.left[1].omega))),
+            sa.IrredClass(w2), sa.IrredClass(t.term2.omega),
+            tuple(sa.IrredClass(c.omega) for c in t.term2_components)),
+         "ExchangeTriple(snake=%s, left=(%s, %s), term1=%s, term2=%s, term2_components=(%s, %s))"
+         % (S2_REPR, V02, V11, "IrredClass(omega=%s)" % W_S2,
+            "IrredClass(omega=%s)" % W_X, V12, V01),
+         ("snake", "left", "term1", "term2", "term2_components")),
+        ("CorpusSpec", spec,
+         sa.CorpusSpec(r_max=3, span=6, n_range=(2, 5), filters=frozenset(["prime"])),
+         "CorpusSpec(r_max=3, span=6, n_range=(2, 5), translation_normalized=True, "
+         "filters=frozenset({'prime'}))",
+         ("r_max", "span", "n_range", "translation_normalized", "filters")),
+    ]
+
+
+class TestValueTypes:
+    """The library's other value types compare, hash, print, pickle and copy
+    by their fields, and refuse assignment."""
+
+    def test_equal_and_hash_alike(self, s2):
+        for name, value, twin, _, _ in _typed_values(s2):
+            assert type(value) is type(twin) and value is not twin, name
+            assert value == twin and hash(value) == hash(twin), name
+            assert not value != twin, name
+
+    def test_repr(self, s2):
+        for name, value, twin, text, _ in _typed_values(s2):
+            assert repr(value) == repr(twin) == text, name
+
+    def test_pickle_and_copy(self, s2):
+        for name, value, twin, text, _ in _typed_values(s2):
+            for back in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                         copy.deepcopy(value)):
+                assert type(back) is type(value), name
+                assert back == twin and hash(back) == hash(twin), name
+                assert repr(back) == text, name
+
+    def test_frozen(self, s2):
+        for name, value, _, _, fields in _typed_values(s2):
+            for field in fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, field, getattr(value, field))
+                with pytest.raises(AttributeError):
+                    delattr(value, field)
+
+    def test_iso_lookup_survives_copies(self, s2):
+        iso = sa.build_iso(s2, s2)
+        w = sa.parse_monoid_element("w{0,2} * w{-1,2}", 3)
+        for back in (pickle.loads(pickle.dumps(iso)), copy.deepcopy(iso)):
+            assert back.mapping == iso.mapping == dict(iso.pairs)
+            assert back.eta(w) == iso.eta(w) == w
+
+    def test_corpus_spec_defaults_and_normalization(self):
+        spec = sa.CorpusSpec(3, 6)
+        assert spec.filters == frozenset() and type(spec.filters) is frozenset
+        assert spec.n_range is None and spec.translation_normalized is True
+        b = sa.CorpusSpec(3, 6, filters=frozenset({"boundary"}))
+        assert b.filters == frozenset({"boundary", "prime"})
+        assert b == sa.CorpusSpec(3, 6, filters=frozenset({"boundary", "prime"}))
+        assert pickle.loads(pickle.dumps(b)).filters == b.filters
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(r_max=0, span=6), "corpus bounds r_max=0 span=6 outside 1..7 and 1..12"),
+        (dict(r_max=3, span=13), "corpus bounds r_max=3 span=13 outside 1..7 and 1..12"),
+        (dict(r_max=3, span=6, filters=frozenset({"odd", "prime"})), "unknown filters: ['odd']"),
+        (dict(r_max=3, span=6, n_range=[2, 5]),
+         "n_range must be None or a pair of integers, got [2, 5]"),
+        (dict(r_max=3, span=6, n_range=(2, 5.0)),
+         "n_range must be None or a pair of integers, got (2, 5.0)"),
+        (dict(r_max=3, span=6, n_range=(2, 14)), "n_range (2, 14) reaches past the rank cap 13"),
+    ])
+    def test_corpus_spec_messages(self, kwargs, message):
+        with pytest.raises(sa.PreconditionError) as info:
+            sa.CorpusSpec(**kwargs)
+        assert str(info.value) == message

@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -104,7 +103,7 @@ class TestWindows:
 
         def classify(t):
             c = real(t)
-            return dataclasses.replace(c, prime=False) if t == bad else c
+            return c._replace(prime=False) if t == bad else c
 
         snakes._memo.cache_clear()
         monkeypatch.setattr(primesets, "classify", classify)
