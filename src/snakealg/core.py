@@ -100,6 +100,12 @@ class MonoidElement(_Value):
 
     __match_args__ = __slots__ = ("n", "exps")
 
+    def __init__(self, n: int, exps: tuple[tuple[Interval, int], ...]):
+        # _Value.__init__ written out, since elements are built by the million
+        _set_element_n(self, n)
+        _set_exps(self, exps)
+        _set_hash(self, None)
+
     @staticmethod
     def from_exponents(n: int, exponents: dict[Interval, int]) -> "MonoidElement":
         items = []
@@ -185,6 +191,9 @@ class MonoidElement(_Value):
         for iv, e in self.exps:
             parts.append("w{%d,%d}" % (iv.i, iv.j) + ("^%d" % e if e > 1 else ""))
         return " * ".join(parts)
+
+
+_set_element_n, _set_exps = MonoidElement.n.__set__, MonoidElement.exps.__set__
 
 
 # digits a parsed number keeps free below the interpreter's limit on int/str

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .core import Interval, MonoidElement, Snake, _Value
+from .core import Interval, MonoidElement, Snake, _set_hash, _Value
 from .errors import FalsifiedInvariantError, PreconditionError
 from .primesets import (PrimeDescriptor, descriptor_index, generator_intervals,
                         window_cuts)
@@ -333,6 +333,11 @@ class Factorization(_Value):
 
     __match_args__ = __slots__ = ("pairs",)
 
+    def __init__(self, pairs: tuple[tuple[PrimeDescriptor, int], ...]):
+        # _Value.__init__ written out: factor builds one per call
+        _set_pairs(self, pairs)
+        _set_hash(self, None)
+
     @property
     def factors(self) -> tuple[PrimeDescriptor, ...]:
         return tuple(d for d, m in self.pairs for _ in range(m))
@@ -351,6 +356,9 @@ class Factorization(_Value):
 
     def __len__(self):
         return sum(m for _, m in self.pairs)
+
+
+_set_pairs = Factorization.pairs.__set__
 
 
 def factor(w: MonoidElement, s: Snake) -> Factorization:
