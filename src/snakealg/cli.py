@@ -192,38 +192,26 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="snakealg")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("validate")
-    p.add_argument("snake")
-    p.set_defaults(func=_cmd_validate)
+    def verb(name, func, *positional):
+        p = sub.add_parser(name)
+        for arg in positional:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sets")
-    p.add_argument("snake")
-    p.set_defaults(func=_cmd_sets)
-
-    p = sub.add_parser("factor")
+    verb("validate", _cmd_validate, "snake")
+    verb("sets", _cmd_sets, "snake")
+    p = verb("factor", _cmd_factor)
     p.add_argument("--snake", required=True)
     p.add_argument("--omega", required=True)
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("exchange")
-    p.add_argument("snake")
-    p.set_defaults(func=_cmd_exchange)
-
-    p = sub.add_parser("iso")
+    verb("exchange", _cmd_exchange, "snake")
+    p = verb("iso", _cmd_iso)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--omega")
-    p.set_defaults(func=_cmd_iso)
-
-    p = sub.add_parser("height")
-    p.add_argument("snake")
-    p.set_defaults(func=_cmd_height)
-
-    p = sub.add_parser("cluster")
-    p.add_argument("snake")
-    p.set_defaults(func=_cmd_cluster)
-
-    p = sub.add_parser("enumerate")
+    verb("height", _cmd_height, "snake")
+    verb("cluster", _cmd_cluster, "snake")
+    p = verb("enumerate", _cmd_enumerate)
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--span", type=int, required=True)
     p.add_argument("--n-lo", type=int)
@@ -231,10 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", action="append",
                    choices=["stable", "connected", "prime", "boundary"])
     p.add_argument("--limit", type=int, default=0)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("selftest")
-    p.set_defaults(func=_cmd_selftest)
+    verb("selftest", _cmd_selftest)
     return ap
 
 

@@ -240,6 +240,7 @@ class Snake(_Value):
     """
 
     __match_args__ = __slots__ = ("n", "intervals")
+    __hash__ = _Value.__hash__  # defining __eq__ would otherwise unset it
 
     def __init__(self, n: int, intervals: tuple[Interval, ...]):
         if n < 1:
@@ -255,8 +256,14 @@ class Snake(_Value):
     def _of(n: int, intervals: tuple[Interval, ...]) -> "Snake":
         """The snake on a non-empty tuple of Intervals checked at rank n >= 1."""
         s = object.__new__(Snake)
-        _Value.__init__(s, n, intervals)
+        _set_snake_n(s, n)
+        _set_intervals(s, intervals)
+        _set_hash(s, None)
         return s
+
+    def __eq__(self, other):
+        return (self.n == other.n and self.intervals == other.intervals
+                if type(other) is Snake else NotImplemented)
 
     def __reduce__(self):
         return Snake._of, self._key
@@ -304,6 +311,7 @@ class Snake(_Value):
         return "[%s] @ n=%d" % (",".join(str(iv) for iv in self.intervals), self.n)
 
 
+_set_snake_n, _set_intervals = Snake.n.__set__, Snake.intervals.__set__
 _SNAKE_RE = re.compile(r"^\[(.*)\]\s*@\s*n=(\d+)$")
 _PAIR_RE = re.compile(r"\((-?\d+),(-?\d+)\)")
 

@@ -4,7 +4,6 @@ check on the canonical factorizer."""
 
 from __future__ import annotations
 
-import random
 from itertools import chain
 
 from .core import Interval, MonoidElement, Snake, _Value
@@ -150,6 +149,7 @@ def random_snake(seed: int, spec: CorpusSpec) -> Snake:
     if spec.n_range is not None and max(spec.n_range[0], 1) > spec.n_range[1]:
         raise PreconditionError(
             "n_range %r holds no rank n >= 1 to sample" % (spec.n_range,))
+    import random  # here, so that importing the CLI does not load it
     rng = random.Random(seed)
     alphabet = _alphabet(spec)
     for _ in range(DRAW_BUDGET):

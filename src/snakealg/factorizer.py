@@ -19,6 +19,7 @@ check fails (see ``factor``).
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from operator import itemgetter
 
 from .core import Interval, MonoidElement, Snake, _set_hash, _Value
 from .errors import FalsifiedInvariantError, PreconditionError
@@ -46,10 +47,10 @@ class SnakeContext:
     def __init__(self, s: Snake):
         self.snake = s
         eps0 = require_prime(s).eps[0]
-        self.alphabet = tuple(sorted(descriptor_index(s).values(),
-                                     key=lambda d: (-d.weight.ht, d.weight.exps)))
+        _, self.exps, self.alphabet = zip(*sorted(
+            (-sum(map(_exponent, w.exps)), w.exps, d)
+            for w, d in descriptor_index(s).items()))
         self.gens = generator_intervals(s)
-        self.exps = tuple(d.weight.exps for d in self.alphabet)
         for exps in self.exps:
             for iv, _ in exps:
                 if iv not in self.gens:
@@ -100,18 +101,18 @@ class SnakeContext:
             if kind == "tail":
                 ctx = snake_context(s.subsnake(2, s.r))
             else:
-                ctx = snake_context(Snake(s.n, (self.head[1],) + s.intervals[2:]))
+                # g2 is the crossed interval of a connected pair, so in bounds
+                ctx = snake_context(Snake._of(s.n, (self.head[1],) + s.intervals[2:]))
             link = self._links[kind] = _Link(
-                ctx, [(self.find(d.weight.exps), d.intervals) for d in ctx.alphabet],
+                ctx, [(self.index.get(d.weight.exps), d.intervals) for d in ctx.alphabet],
                 [ctx.snake.intervals[0] in d.intervals for d in ctx.alphabet])
         return link
 
     def _hand(self, link: "_Link", v: dict[Interval, int], checked: bool) -> dict[int, int]:
-        """Factor v over the context of link: by its solve if checked, which
-        leaves v as it is, else by its ledger, which consumes v (a failed
-        unchecked pass is run again checked, so no message shows a consumed v)."""
+        """Factor v, in the submonoid of link's context, over it: by its solve if
+        checked, which leaves v as it is, else by its ledger, which consumes v
+        (a failed unchecked pass is run again checked, so no message shows it)."""
         ctx = link.ctx
-        ctx._check_member(v)
         if checked:
             return ctx.solve(v, True)
         counts: dict[int, int] = {}
@@ -194,11 +195,14 @@ class SnakeContext:
         # a head generator that is not a generator of s is never a key of v
         g1, _, g3, g4, g22, g23 = self.head
         while v:
-            # everything lives over the tail; the tail's ledger consumes v
+            # v lives over the tail (self.tail is its gens); its ledger consumes v
             if self.tail.issuperset(v):
                 link = self.link("tail")
                 for j, m in self._hand(link, v, checked).items():
-                    self._emit(counts, link.lift[j], m)
+                    k = link.lift[j][0]
+                    if k is None:
+                        self._emit(counts, link.lift[j], m)
+                    counts[k] = counts.get(k, 0) + m
                 return
             # anti-connected extremal generator splits off freely
             if g4 in v:
@@ -236,6 +240,7 @@ class SnakeContext:
         link = self.link("shat")
         g1, g22 = self.head[0], self.head[4]
         what = {iv: e for iv, e in v.items() if iv != g1 and iv != g22}
+        link.ctx._check_member(what)
         special = [(j, m) for j, m in sorted(self._hand(link, what, checked).items())
                    if link.has_head[j]]
         if not special:
@@ -256,6 +261,7 @@ class SnakeContext:
         wtil = {iv: e for iv, e in v.items() if iv != g1}
         link = self.link("tail")
         orders, with_g1 = self._prefix_table(link)
+        link.ctx._check_member(wtil)
         special, rest = [], []
         for j, m in sorted(self._hand(link, wtil, checked).items()):
             (special if link.has_head[j] else rest).append((j, m))
@@ -290,16 +296,17 @@ class SnakeContext:
         Compiled on first use."""
         if self._windows is None:
             s = self.snake
-            table = {MonoidElement.from_pairs(s.n, ((iv, 1) for iv in ivs)): (l, e2)
+            # keyed by weight: a prime window has distinct, non-trivial intervals
+            table = {tuple(sorted([(iv, 1) for iv in ivs])): (l, e2)
                      for (p, l, e, e2), ivs in window_cuts(s) if p == 0 and e == 0}
             # compatibility ordering: even-parity windows ascending, then
             # odd-parity windows descending
             orders = [None if le is None else
                       (0, 2 * le[0] + le[1]) if (le[0] + le[1]) % 2 == 0
                       else (1, -(2 * le[0] + le[1]))
-                      for le in (table.get(d.weight) for d in tail.ctx.alphabet)]
-            g1 = s.iv(1)
-            with_g1 = [self._peel(g1, *(iv for iv, e in d.weight.exps for _ in range(e)))
+                      for le in (table.get(d.weight.exps) for d in tail.ctx.alphabet)]
+            g1 = s.intervals[0]
+            with_g1 = [(self.find(d.weight.exps + ((g1, 1),)), (g1,) + d.intervals)
                        for d in tail.ctx.alphabet]
             self._windows = orders, with_g1
         return self._windows
@@ -309,14 +316,14 @@ def _head_generators(s: Snake, e1: int) -> tuple[Interval, ...]:
     """g1, g2, g3, g4, g22 and g23 of the ledger, for first alternation bit
     e1.  Those at e1 = 1 are the reflections of those of the reflected snake
     at e1 = 0."""
-    iv = s.iv
-    g2, g4 = crossed(iv(1 + e1), iv(2 - e1))
-    return (iv(1),
+    iv = (None,) + s.intervals  # 1-based
+    g2, g4 = crossed(iv[1 + e1], iv[2 - e1])
+    return (iv[1],
             g2,
-            Interval(iv(1 + 2 * e1).i, iv(3 - 2 * e1).j),
+            Interval(iv[1 + 2 * e1].i, iv[3 - 2 * e1].j),
             g4,
-            iv(2),
-            Interval(iv(2 + e1).i, iv(3 - e1).j))
+            iv[2],
+            Interval(iv[2 + e1].i, iv[3 - e1].j))
 
 
 # A context of a shorter snake, ctx, that a parent context hands part of an
@@ -325,6 +332,7 @@ def _head_generators(s: Snake, e1: int) -> tuple[Interval, ...]:
 # Both snakes have the same rank, so an interval means the same generator in
 # each, and the child works on the parent's map as it is.
 _Link = namedtuple("_Link", "ctx lift has_head")
+_exponent = itemgetter(1)
 
 
 class Factorization(_Value):
@@ -378,9 +386,7 @@ def compatible_product(f1: Factorization, f2: Factorization, s: Snake) -> bool:
     """Whether the two factorizations stay intact under multiplication: the
     factorization of the product has the factors of both, with the summed
     multiplicities."""
-    if not f1.pairs:
-        return True
-    if not f2.pairs:
+    if not (f1.pairs and f2.pairs):
         return True
     merged = Counter()
     for d, m in f1.pairs + f2.pairs:

@@ -16,17 +16,16 @@ from .snakes import (both_ends_differ, classify, crossed, is_boundary, linked,
 def tilde_interval_set(s: Snake) -> frozenset[Interval]:
     """All [i_p, j_q] with q in the four-position window around p."""
     eps = require_prime(s).eps
-    if s.r < 3:
+    r, ivs = s.r, s.intervals
+    if r < 3:
         raise PreconditionError("interval windows need length >= 3")
     out = set()
-    for p in range(1, s.r + 1):
-        e = eps[p - 1]
-        for q in (p - 1 - e, p - e, p + 1 - e, p + 2 - e):
-            if not 1 <= q <= s.r:
-                continue
-            iv = Interval(s.iv(p).i, s.iv(q).j)
-            if 0 <= iv.j - iv.i <= s.n + 1:
-                out.add(iv)
+    for p in range(r):
+        e, i = eps[p], ivs[p].i
+        for q in range(max(p - 1 - e, 0), min(p + 3 - e, r)):
+            j = ivs[q].j
+            if 0 <= j - i <= s.n + 1:
+                out.add(Interval(i, j))
     return frozenset(out)
 
 
@@ -50,10 +49,10 @@ def generator_intervals(s: Snake) -> frozenset[Interval]:
     if s.r >= 3:
         return interval_set(s)
     if s.r == 2:
-        a, b = s.iv(1), s.iv(2)
+        a, b = s.intervals
         cands = (a, b) + crossed(a, b)
         return frozenset(iv for iv in cands if not is_trivial(iv, s.n))
-    return frozenset({s.iv(1)})
+    return frozenset(s.intervals)
 
 
 def closure_check(s: Snake) -> bool:
@@ -77,18 +76,19 @@ def _side_terms(s: Snake) -> tuple[dict[int, Interval], dict[int, Interval]]:
     forbids it; such windows duplicate frozen pairs weight-for-weight.
     Each side term is checked against the rank of s."""
     eps = require_prime(s).eps
-    iv = s.iv
+    iv, n = (None,) + s.intervals, s.n  # 1-based
     left, right = {}, {}
     for p in range(1, s.r - 2):
         ep = eps[p - 1]
-        if iv(p + ep).i != iv(p + 3).i and iv(p + 1 - ep).j != iv(p + 3).j:
-            left[p] = Interval(iv(p + ep).i, iv(p + 1 - ep).j)
+        if iv[p + ep].i != iv[p + 3].i and iv[p + 1 - ep].j != iv[p + 3].j:
+            left[p] = Interval(iv[p + ep].i, iv[p + 1 - ep].j)
     for l in range(2, s.r - 1):
         el = eps[l - 1]
-        if iv(l - 1).i != iv(l + 1 + el).i and iv(l - 1).j != iv(l + 2 - el).j:
-            right[l] = Interval(iv(l + 1 + el).i, iv(l + 2 - el).j)
+        if iv[l - 1].i != iv[l + 1 + el].i and iv[l - 1].j != iv[l + 2 - el].j:
+            right[l] = Interval(iv[l + 1 + el].i, iv[l + 2 - el].j)
     for term in chain(left.values(), right.values()):
-        _check_interval(term, s.n)
+        if not 0 <= term.j - term.i <= n + 1:
+            _check_interval(term, n)
     return left, right
 
 
@@ -150,9 +150,10 @@ def _descriptors(n: int, entries) -> tuple[PrimeDescriptor, ...]:
     for kind, ivs in entries:
         acc: dict[Interval, int] = {}
         for iv in ivs:
-            _check_interval(iv, n)
-            if not is_trivial(iv, n):
+            if 0 < iv.j - iv.i <= n:
                 acc[iv] = acc.get(iv, 0) + 1
+            elif not is_trivial(iv, n):
+                _check_interval(iv, n)
         exps = tuple(sorted(acc.items()))
         if exps and exps not in seen:
             seen.add(exps)
@@ -174,26 +175,26 @@ def pr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
 def fr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     eps = require_prime(s).eps
     r = s.r
-    iv = s.iv
+    iv = (None,) + s.intervals  # 1-based
     if r == 1:
         return ()
     if r == 2:
-        return _descriptors(s.n, [("pair", (iv(1), iv(2)))]
-                            + [("extremal", (c,)) for c in crossed(iv(1), iv(2))])
+        return _descriptors(s.n, [("pair", (iv[1], iv[2]))]
+                            + [("extremal", (c,)) for c in crossed(iv[1], iv[2])])
     e1, er = eps[0], eps[-1]
     entries = [("extremal", (Interval(s.i_min, s.j_max),)),
                ("extremal", (Interval(s.i_max, s.j_min),)),
-               ("pair", (iv(1), Interval(iv(2 + e1).i, iv(3 - e1).j)))]
+               ("pair", (iv[1], Interval(iv[2 + e1].i, iv[3 - e1].j)))]
     for t in range(2, r):
         e = eps[t - 1]
-        entries.append(("pair", (iv(t), Interval(iv(t + 1 - 2 * e).i, iv(t - 1 + 2 * e).j))))
-    entries.append(("pair", (iv(r), Interval(iv(r - 2 + er).i, iv(r - 1 - er).j))))
+        entries.append(("pair", (iv[t], Interval(iv[t + 1 - 2 * e].i, iv[t - 1 + 2 * e].j))))
+    entries.append(("pair", (iv[r], Interval(iv[r - 2 + er].i, iv[r - 1 - er].j))))
     for t in range(2, r - 1):
-        if not both_ends_differ(iv(t - 1), iv(t + 2)):
+        if not both_ends_differ(iv[t - 1], iv[t + 2]):
             continue
         e = eps[t - 1]
-        entries.append(("pair", (Interval(iv(t - e).i, iv(t - 1 + e).j),
-                                 Interval(iv(t + 1 + e).i, iv(t + 2 - e).j))))
+        entries.append(("pair", (Interval(iv[t - e].i, iv[t - 1 + e].j),
+                                 Interval(iv[t + 1 + e].i, iv[t + 2 - e].j))))
     return _descriptors(s.n, entries)
 
 

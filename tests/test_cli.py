@@ -302,10 +302,10 @@ class TestSelftest:
 
 class TestImportPath:
     def test_no_dataclasses_inspect_or_typing(self):
-        # pytest has imported all three in this process, so a fresh
-        # interpreter without site-packages imports the CLI
+        # pytest has imported all of them, random too, in this process, so a
+        # fresh interpreter without site-packages imports the CLI
         code = ("import sys, snakealg.cli; print(sorted(set(sys.modules) & "
-                "{'dataclasses', 'inspect', 'typing', 'ast', 'dis'}))")
+                "{'dataclasses', 'inspect', 'typing', 'ast', 'dis', 'random'}))")
         src = os.path.dirname(os.path.dirname(sa.__file__))
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src))

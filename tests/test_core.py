@@ -251,6 +251,22 @@ class TestValueSemantics:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     delattr(value, field)
 
+    def test_snake_paths_agree_with_written_out_equality(self, sstar):
+        ivs = sstar.intervals
+        longer = Snake(6, ivs + (Interval(4, 5),))
+        paths = [Snake(6, tuple((iv.i, iv.j) for iv in ivs)), Snake._of(6, ivs),
+                 longer.subsnake(1, 5), sa.parse_snake(str(sstar)),
+                 pickle.loads(pickle.dumps(sstar))]
+        for value in paths:
+            assert type(value) is Snake
+            assert value == sstar and sstar == value and hash(value) == hash(sstar)
+        assert longer != sstar and Snake(5, ivs) != sstar
+        # another type with the same fields, or a plain tuple of them, is
+        # not a snake
+        for other in (MonoidElement(6, ivs), (6, ivs)):
+            assert sstar.__eq__(other) is NotImplemented
+            assert sstar != other and other != sstar
+
 
 H3_TEXT = "[(0,3),(2,4),(1,2)] @ n=3"
 S2_REPR = "Snake(n=3, intervals=(Interval(i=0, j=2), Interval(i=-1, j=1)))"

@@ -121,6 +121,34 @@ class TestBothOrientations:
             check_links(ctx)
 
 
+def prime_links(ctx):
+    """The tail link of ctx, and its ŝ link when ŝ is prime."""
+    s = ctx.snake
+    shat = Snake(s.n, (ctx.head[1],) + s.intervals[2:])
+    return [ctx.link("tail")] + ([ctx.link("shat")] if sa.classify(shat).prime else [])
+
+
+class TestLinkTables:
+    def test_lifts_are_index_entries_and_alphabets_restrict(self, small_corpus):
+        tall = [s for s in small_corpus if s.r >= 3]
+        links = 0
+        for s in tall:
+            ctx = snake_context(s)
+            for link in prime_links(ctx):
+                child = link.ctx
+                for (k, ivs), d in zip(link.lift, child.alphabet):
+                    assert k == ctx.index[d.weight.exps], (s, child.snake, d)
+                    assert ivs == d.intervals
+                # the child's weights, in order, are the parent's weights
+                # that live over the child's generators
+                assert child.exps == tuple(
+                    exps for exps in ctx.exps
+                    if child.gens.issuperset(iv for iv, _ in exps)), (s, child.snake)
+                links += 1
+        # every tail, and at least one ŝ
+        assert len(tall) < links <= 2 * len(tall)
+
+
 @pytest.fixture
 def fresh_memo(monkeypatch):
     """An empty per-snake memo for one test, so that its contexts (and the
