@@ -9,7 +9,7 @@ from itertools import chain
 from .core import Interval, MonoidElement, Snake, _Value
 from .errors import PreconditionError
 from .primesets import descriptor_index
-from .snakes import Step, classify, extend, is_boundary, pair_rank
+from .snakes import Step, extend, is_boundary, pair_rank
 
 SPAN_CAP = 12
 R_CAP = 7
@@ -50,7 +50,10 @@ class CorpusSpec(_Value):
 
 def _admits(step: Step, filters) -> bool:
     """Whether a search keeps the prefix that ``step`` judged: the rank-free
-    part of the filters, used to prune."""
+    part of the filters, used to prune.  With ``_candidate_ranks``, which
+    offers only ranks at or above every interval length and, under
+    connected or prime, every pair rank, the steps decide every filter but
+    boundary: no candidate needs ``classify``."""
     if "prime" in filters:
         return step.connected and step.keeps_prime
     if "connected" in filters:
@@ -74,13 +77,6 @@ def _candidate_ranks(ivs: tuple[Interval, ...], spec: CorpusSpec) -> list[int]:
     if "boundary" in spec.filters:
         out = [n for n in out if n == j_max - 1]
     return out
-
-
-def _passes(s: Snake, filters) -> bool:
-    c = classify(s)
-    return (c.stable and ("connected" not in filters or c.connected)
-            and ("prime" not in filters or c.prime)
-            and ("boundary" not in filters or is_boundary(s)))
 
 
 def _alphabet(spec: CorpusSpec) -> list[Interval]:
@@ -120,7 +116,7 @@ def enumerate_snakes(spec: CorpusSpec):
         # every candidate rank is at least the length of every interval
         for n in _candidate_ranks(ivs, spec):
             s = Snake._of(n, ivs)
-            if _passes(s, spec.filters):
+            if "boundary" not in spec.filters or is_boundary(s):
                 yield s
 
 
@@ -173,6 +169,6 @@ def random_snake(seed: int, spec: CorpusSpec) -> Snake:
         if not ranks:
             continue
         s = Snake(rng.choice(ranks), ivs)
-        if _passes(s, spec.filters):
+        if "boundary" not in spec.filters or is_boundary(s):
             return s
     raise PreconditionError("rejection budget exhausted for %s" % (spec,))

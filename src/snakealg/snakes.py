@@ -12,7 +12,8 @@ from .errors import NotAlternatingError, PreconditionError
 # snakes whose derived data (interval sets, window table, descriptor sets,
 # height profile, factorizer context) are kept, least recently used first out
 SNAKE_MEMO_SIZE = 1024
-# classifications kept; classify sees every enumeration candidate and window
+# classifications kept; classify sees every window snake and every snake a
+# caller checks (the enumerator decides its filters from its steps)
 CLASSIFY_CACHE_SIZE = 1 << 15
 
 

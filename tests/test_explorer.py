@@ -4,7 +4,6 @@ import pytest
 
 import snakealg as sa
 from snakealg import explorer
-from snakealg.snakes import extend
 
 from conftest import boundary
 
@@ -115,26 +114,42 @@ class TestEnumeration:
         assert got == brute
 
 
+def meets_filters(s, filters):
+    """The filters, written out against ``classify``; boundary implies prime."""
+    c = sa.classify(s)
+    if "boundary" in filters and not (c.prime and boundary(s)):
+        return False
+    if "prime" in filters:
+        return c.prime
+    if "connected" in filters:
+        return c.connected
+    return c.stable
+
+
 def reference_walk(spec):
     """The unpruned search: every alphabet interval tried at every depth,
-    translation normalization applied only to the finished prefixes."""
+    translation normalization applied only to the finished prefixes, and
+    every prefix and candidate classified afresh.  A prefix is kept when it
+    meets the filters but boundary at rank ``span``, which is above every
+    interval length and pair rank; stable, connected and prime snakes have
+    only such prefixes."""
     alphabet = explorer._alphabet(spec)
+    rank_free = spec.filters - {"boundary"}
 
-    def walk(prefix, bit):
+    def walk(prefix):
         yield prefix
         if len(prefix) == spec.r_max:
             return
         for iv in alphabet:
-            step = extend(prefix, bit, iv)
-            if explorer._admits(step, spec.filters):
-                yield from walk(prefix + (iv,), step.bit)
+            if meets_filters(sa.Snake(spec.span, prefix + (iv,)), rank_free):
+                yield from walk(prefix + (iv,))
 
-    for ivs in chain.from_iterable(walk((iv,), None) for iv in alphabet):
+    for ivs in chain.from_iterable(walk((iv,)) for iv in alphabet):
         if spec.translation_normalized and min(iv.i for iv in ivs) != 0:
             continue
         for n in explorer._candidate_ranks(ivs, spec):
             s = sa.Snake(n, ivs)
-            if explorer._passes(s, spec.filters):
+            if meets_filters(s, spec.filters):
                 yield s
 
 
@@ -146,6 +161,35 @@ class TestPrunedWalk:
         for r_max, span in ((1, 3), (2, 4), (3, 5), (4, 6)):
             spec = sa.CorpusSpec(r_max, span, n_range, normalized, frozenset(filters))
             assert list(sa.enumerate_snakes(spec)) == list(reference_walk(spec)), spec
+
+
+class TestWalkVerdict:
+    """The walk's steps and candidate ranks decide the filters: every snake
+    it yields passes them by ``classify``."""
+
+    def test_atlas_corpus_is_prime(self):
+        spec = sa.CorpusSpec(7, 11, filters=frozenset({"prime"}))
+        out = list(sa.enumerate_snakes(spec))
+        assert len(out) == 13321
+        assert all(sa.classify(s).prime for s in out)
+
+    @pytest.mark.parametrize("filters", FILTER_SETS, ids=lambda f: "+".join(f) or "unfiltered")
+    def test_yield_meets_filters(self, filters):
+        for normalized in (True, False):
+            for n_range in (None, (2, 5)):
+                spec = sa.CorpusSpec(4, 6, n_range, normalized, frozenset(filters))
+                out = list(sa.enumerate_snakes(spec))
+                assert out, spec
+                for s in out:
+                    assert meets_filters(s, spec.filters), (spec, str(s))
+
+    @pytest.mark.parametrize("filters", FILTER_SETS, ids=lambda f: "+".join(f) or "unfiltered")
+    def test_random_snake_meets_filters(self, filters):
+        spec = sa.CorpusSpec(r_max=5, span=8, filters=frozenset(filters))
+        for seed in range(50):
+            s = sa.random_snake(seed, spec)
+            assert meets_filters(s, spec.filters), (seed, str(s))
+            assert s.r <= 5 and s.j_max <= 8 and s.i_min == 0
 
 
 class TestOracle:

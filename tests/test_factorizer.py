@@ -168,7 +168,7 @@ def record_ledgers(monkeypatch, contexts, runs):
 
 
 class TestOneCheckedPass:
-    def test_corrupt_tail_names_the_tail(self, sstar, monkeypatch):
+    def test_corrupt_tail_names_the_tail(self, sstar, monkeypatch, fresh_memo):
         # w{1,3} lives over the last tail [(1,3),(3,4)]; its generator
         # descriptor there is corrupted to weigh w{1,3}^2
         tail = sstar.subsnake(4, 5)
