@@ -26,17 +26,19 @@ class CorpusSpec(_Value):
 
     def __init__(self, r_max: int, span: int, n_range: tuple[int, int] | None = None,
                  translation_normalized: bool = True, filters: frozenset = frozenset()):
-        if not (1 <= span <= SPAN_CAP and 1 <= r_max <= R_CAP):
+        if not (type(r_max) is int and type(span) is int
+                and 1 <= span <= SPAN_CAP and 1 <= r_max <= R_CAP):
             raise PreconditionError(
-                "corpus bounds r_max=%d span=%d outside 1..%d and 1..%d"
+                "corpus bounds r_max=%r span=%r outside 1..%d and 1..%d"
                 % (r_max, span, R_CAP, SPAN_CAP))
-        bad = set(filters) - {"stable", "connected", "prime", "boundary"}
+        filters = frozenset(filters)
+        bad = filters - {"stable", "connected", "prime", "boundary"}
         if bad:
             raise PreconditionError("unknown filters: %s" % sorted(bad))
         # the boundary filter lists prime snakes of the boundary shape, so it
         # implies prime; every filter test below reads this normalized set
         if "boundary" in filters:
-            filters = frozenset(filters) | {"prime"}
+            filters |= {"prime"}
         if n_range is not None and not (
                 isinstance(n_range, tuple) and len(n_range) == 2
                 and all(type(n) is int for n in n_range)):

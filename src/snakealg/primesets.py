@@ -8,7 +8,7 @@ from itertools import chain
 
 from .core import Interval, MonoidElement, Snake, _check_interval, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
-from .snakes import (both_ends_differ, classify, crossed, is_boundary, linked,
+from .snakes import (_classify, both_ends_differ, crossed, is_boundary, linked,
                      pair_rank, per_snake, require_prime)
 
 
@@ -98,7 +98,7 @@ def window_cuts(s: Snake) -> tuple[tuple[tuple[int, int, int, int],
     """The admissible window cuts (p, l, e, e2) of s with the intervals of
     each window, in descriptor order: the slice at positions p+2..l, with the
     side term of s on the left when e = 1 and on the right when e2 = 1.
-    Each window is checked to be prime."""
+    Windows with a side term are checked to be prime; a slice of s is prime."""
     left, right = _side_terms(s)
     out = []
     for p in range(-1, s.r - 1):
@@ -107,12 +107,12 @@ def window_cuts(s: Snake) -> tuple[tuple[tuple[int, int, int, int],
                 for e2 in (0, 1) if l in right else (0,):
                     head = (left[p],) if e else ()
                     tail = (right[l],) if e2 else ()
-                    snake = Snake._of(s.n, head + s.intervals[p + 1:l] + tail)
-                    if not classify(snake).prime:
+                    ivs = head + s.intervals[p + 1:l] + tail
+                    if (e or e2) and not _classify(Snake._of(s.n, ivs)).prime:
                         raise FalsifiedInvariantError(
                             "window e=%d e2=%d p=%d l=%d of %s materialized non-prime %s"
-                            % (e, e2, p, l, s, snake))
-                    out.append(((p, l, e, e2), snake.intervals))
+                            % (e, e2, p, l, s, Snake._of(s.n, ivs)))
+                    out.append(((p, l, e, e2), ivs))
     return tuple(out)
 
 

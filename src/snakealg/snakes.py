@@ -9,12 +9,8 @@ from functools import lru_cache, wraps
 from .core import Interval, Snake, is_trivial
 from .errors import NotAlternatingError, PreconditionError
 
-# snakes whose derived data (interval sets, window table, descriptor sets,
-# height profile, factorizer context) are kept, least recently used first out
+# snakes whose derived data are kept, from classification to factorizer context
 SNAKE_MEMO_SIZE = 1024
-# classifications kept; classify sees every window snake and every snake a
-# caller checks (the enumerator decides its filters from its steps)
-CLASSIFY_CACHE_SIZE = 1 << 15
 
 
 @lru_cache(maxsize=SNAKE_MEMO_SIZE)
@@ -146,8 +142,7 @@ SnakeClassification = namedtuple("SnakeClassification", "stable connected prime 
 _UNSTABLE = SnakeClassification(False, False, False, None)
 
 
-@lru_cache(maxsize=CLASSIFY_CACHE_SIZE)
-def classify(s: Snake) -> SnakeClassification:
+def _classify(s: Snake) -> SnakeClassification:
     n = s.n
     # degenerate members would be invisible in the monoid, so they are
     # rejected outright
@@ -161,6 +156,9 @@ def classify(s: Snake) -> SnakeClassification:
         connected = connected and step.connected and pair_rank(a, b) <= n
         prime = prime and step.keeps_prime
     return SnakeClassification(True, connected, connected and prime, _closed(eps))
+
+
+classify = per_snake(_classify)
 
 
 def require_prime(s: Snake) -> SnakeClassification:

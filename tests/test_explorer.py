@@ -22,6 +22,20 @@ class TestCorpusSpec:
             with pytest.raises(sa.PreconditionError):
                 sa.CorpusSpec(r_max=r_max, span=span)
 
+    @pytest.mark.parametrize("r_max, span", [(2.5, 5), (3, 5.0), ("3", 5), (3, True)],
+                             ids=repr)
+    def test_non_integer_bounds(self, r_max, span):
+        with pytest.raises(sa.PreconditionError):
+            sa.CorpusSpec(r_max=r_max, span=span, filters=frozenset({"prime"}))
+
+    @pytest.mark.parametrize("collection", [list, tuple, set])
+    def test_filters_of_any_collection(self, collection):
+        want = sa.CorpusSpec(r_max=3, span=5, filters=frozenset({"prime"}))
+        spec = sa.CorpusSpec(r_max=3, span=5, filters=collection(["prime"]))
+        assert type(spec.filters) is frozenset
+        assert spec == want and hash(spec) == hash(want)
+        assert list(sa.enumerate_snakes(spec)) == list(sa.enumerate_snakes(want))
+
     def test_unknown_filter(self):
         with pytest.raises(sa.PreconditionError):
             sa.CorpusSpec(r_max=3, span=5, filters=frozenset({"shiny"}))

@@ -7,6 +7,7 @@ import snakealg as sa
 import snakealg.cli  # noqa: F401  (its caches are checked too)
 from snakealg import MonoidElement, Snake, factorizer, snakes
 from snakealg.factorizer import SnakeContext, snake_context
+from snakealg.primesets import window_cuts
 
 from conftest import monomials
 
@@ -290,10 +291,9 @@ class TestBoundedCaches:
         assert entries() == before
 
     def test_every_cache_is_bounded(self):
-        caches = library_caches()
-        assert caches
-        for f in caches:
-            assert f.cache_info().maxsize is not None, f.__qualname__
+        # the per-snake memo is the package's only cache
+        assert library_caches() == [snakes._memo]
+        assert snakes._memo.cache_info().maxsize == snakes.SNAKE_MEMO_SIZE
 
     def test_descriptor_sets_stay_within_memo(self, corpus):
         assert len(corpus) > snakes.SNAKE_MEMO_SIZE
@@ -309,7 +309,19 @@ class TestBoundedCaches:
         count = sum(1 for _ in sa.enumerate_snakes(sa.CorpusSpec(r_max=6, span=9)))
         assert count == 22939
         assert snakes._memo.cache_info().currsize == before
-        assert snakes.classify.cache_info().currsize <= snakes.CLASSIFY_CACHE_SIZE
+
+    def test_classification_lives_in_the_memo(self, sstar, fresh_memo):
+        # the window table classifies its side-term windows with the kernel,
+        # so sstar's own entry is the only one it adds
+        window_cuts(sstar)
+        assert snakes._memo.cache_info().currsize == 1
+        assert snakes._classify in snakes._memo(sstar)
+        assert snakes._memo.cache_info().currsize == 1
+        c = sa.classify(sstar)
+        assert sa.classify(sstar) is c
+        snakes._memo.cache_clear()
+        again = sa.classify(sstar)
+        assert again == c and again is not c
 
 
 class TestCompatibility:

@@ -79,12 +79,10 @@ class TestWindows:
         assert sa.window_snake(sstar, 0, 0, -1, 5).weight == sstar.weight
 
     def test_windows_are_prime(self, corpus):
-        for s in corpus[:120]:
-            if s.r < 3:
-                continue
-            for d in sa.pr_set(s):
-                if d.kind == "window":
-                    assert sa.classify(sa.Snake(s.n, d.intervals)).prime
+        # the slices too, which the window table leaves unchecked
+        for s in corpus:
+            for cuts, ivs in window_cuts(s):
+                assert snakes._classify(sa.Snake(s.n, ivs)).prime, (s, cuts)
 
     def test_out_of_range_side_terms_forbidden(self, corpus, sstar):
         # left condition reads position p+3, right condition reads l+2
@@ -96,17 +94,18 @@ class TestWindows:
             sa.window_snake(sstar, 0, 1, -1, 1)
 
     def test_non_prime_window_is_a_falsified_invariant(self, sstar, monkeypatch):
-        # the window table checks every window it builds: one that classifies
-        # non-prime is a falsified invariant naming its cuts and its snake
+        # the window table checks every window with a side term: one that
+        # classifies non-prime is a falsified invariant naming its cuts and
+        # its snake
         bad = sa.Snake(6, (Interval(0, 4),) + sstar.intervals[2:5])
-        real = primesets.classify
+        real = primesets._classify
 
         def classify(t):
             c = real(t)
             return c._replace(prime=False) if t == bad else c
 
         snakes._memo.cache_clear()
-        monkeypatch.setattr(primesets, "classify", classify)
+        monkeypatch.setattr(primesets, "_classify", classify)
         try:
             with pytest.raises(sa.FalsifiedInvariantError) as info:
                 window_cuts(sstar)
