@@ -98,7 +98,7 @@ def window_cuts(s: Snake) -> tuple[tuple[tuple[int, int, int, int],
     """The admissible window cuts (p, l, e, e2) of s with the intervals of
     each window, in descriptor order: the slice at positions p+2..l, with the
     side term of s on the left when e = 1 and on the right when e2 = 1.
-    Windows with a side term are checked to be prime; a slice of s is prime."""
+    Side-term windows are checked prime; a slice is prime, as pairs decide primality."""
     left, right = _side_terms(s)
     out = []
     for p in range(-1, s.r - 1):
