@@ -35,6 +35,8 @@ class Interval(namedtuple("Interval", "i j")):
 
 
 def _check_interval(iv: Interval, n: int) -> None:
+    if type(iv.i) is not int or type(iv.j) is not int:
+        raise PreconditionError("interval endpoints must be integers, got %r" % (iv,))
     if not 0 <= iv.j - iv.i <= n + 1:
         raise PreconditionError(
             "interval %s out of bounds for rank n=%d" % (iv, n))
@@ -108,11 +110,20 @@ class MonoidElement(_Value):
 
     @staticmethod
     def from_exponents(n: int, exponents: dict[Interval, int]) -> "MonoidElement":
+        """The element with these exponents; the rank, every endpoint and
+        every exponent must be an int (not a bool)."""
+        if type(n) is not int:
+            raise PreconditionError("rank must be an integer, got %r" % (n,))
         items = []
         for iv, e in exponents.items():
             if type(iv) is not Interval:
                 iv = Interval(*iv)
-            length = iv.j - iv.i
+            i, j = iv
+            if type(i) is not int or type(j) is not int:
+                _check_interval(iv, n)
+            if type(e) is not int:
+                raise _exponent_error(iv, e)
+            length = j - i
             if not 0 <= length <= n + 1:
                 _check_interval(iv, n)
             if e < 0:
@@ -127,6 +138,8 @@ class MonoidElement(_Value):
         """The product of (interval, exponent) pairs; repeated intervals add up."""
         acc: dict[Interval, int] = {}
         for iv, e in pairs:
+            if type(e) is not int:
+                raise _exponent_error(iv, e)
             acc[iv] = acc.get(iv, 0) + e
         return MonoidElement.from_exponents(n, acc)
 
@@ -196,6 +209,10 @@ class MonoidElement(_Value):
 _set_element_n, _set_exps = MonoidElement.n.__set__, MonoidElement.exps.__set__
 
 
+def _exponent_error(iv, e) -> PreconditionError:
+    return PreconditionError("exponent of w{%s,%s} must be an integer, got %r" % (*iv, e))
+
+
 # digits a parsed number keeps free below the interpreter's limit on int/str
 # conversion, so that sums of one text's numbers can still be printed
 _SPARE_DIGITS = 100
@@ -234,8 +251,9 @@ def parse_monoid_element(text: str, n: int) -> MonoidElement:
 class Snake(_Value):
     """An ordered tuple of rank-n intervals.
 
-    Construction only enforces the interval bound; the classification
-    hierarchy (stable / connected / prime) lives in the snakes module.
+    Construction only enforces an integer rank and endpoints and the
+    interval bound; the classification hierarchy (stable / connected /
+    prime) lives in the snakes module.
     ``Snake._of`` is the internal constructor, which checks nothing.
     """
 
@@ -243,6 +261,8 @@ class Snake(_Value):
     __hash__ = _Value.__hash__  # defining __eq__ would otherwise unset it
 
     def __init__(self, n: int, intervals: tuple[Interval, ...]):
+        if type(n) is not int:
+            raise PreconditionError("rank must be an integer, got %r" % (n,))
         if n < 1:
             raise PreconditionError("rank must be >= 1")
         if not intervals:

@@ -31,7 +31,18 @@ class CorpusSpec(_Value):
             raise PreconditionError(
                 "corpus bounds r_max=%r span=%r outside 1..%d and 1..%d"
                 % (r_max, span, R_CAP, SPAN_CAP))
-        filters = frozenset(filters)
+        if type(translation_normalized) is not bool:
+            raise PreconditionError("translation_normalized must be a bool, got %r"
+                                    % (translation_normalized,))
+        # a bare string would be read as its letters
+        try:
+            names = None if isinstance(filters, (str, bytes)) else frozenset(filters)
+        except TypeError:
+            names = None
+        if names is None:
+            raise PreconditionError(
+                "filters must be a collection of filter names, got %r" % (filters,))
+        filters = names
         bad = filters - {"stable", "connected", "prime", "boundary"}
         if bad:
             raise PreconditionError("unknown filters: %s" % sorted(bad))

@@ -23,9 +23,9 @@ from operator import itemgetter
 
 from .core import Interval, MonoidElement, Snake, _set_hash, _Value
 from .errors import FalsifiedInvariantError, PreconditionError
-from .primesets import (PrimeDescriptor, descriptor_index, generator_intervals,
+from .primesets import (PrimeDescriptor, _first_by_weight, generator_intervals,
                         window_cuts)
-from .snakes import crossed, per_snake, require_prime
+from .snakes import crossed, per_snake, prime_tail, require_prime
 
 
 @per_snake
@@ -39,17 +39,21 @@ class SnakeContext:
     """Everything the ledger needs to know about one prime snake.
 
     An element maps each interval of its support to its exponent.
-    ``alphabet`` lists the descriptors in canonical order, so sorting
-    descriptor indices sorts factors; ``exps[k]`` is ``alphabet[k]``'s
-    weight as (interval, exponent) pairs, and ``index`` maps it back to k.
+    ``alphabet`` lists the first descriptor of each weight of ``pr_set(s) +
+    fr_set(s)`` (the values of ``descriptor_index(s)``, read without
+    hashing a weight) in canonical order, so sorting descriptor indices
+    sorts factors; ``exps[k]`` is ``alphabet[k]``'s weight as (interval,
+    exponent) pairs, and ``index`` maps it back to k.  The tail a context
+    compiles or links to is built by ``prime_tail``, which keeps its
+    classification, so no tail is classified anew.
     """
 
     def __init__(self, s: Snake):
         self.snake = s
         eps0 = require_prime(s).eps[0]
         _, self.exps, self.alphabet = zip(*sorted(
-            (-sum(map(_exponent, w.exps)), w.exps, d)
-            for w, d in descriptor_index(s).items()))
+            (-sum(map(_exponent, exps)), exps, d)
+            for exps, d in _first_by_weight(s).items()))
         self.gens = generator_intervals(s)
         for exps in self.exps:
             for iv, _ in exps:
@@ -99,7 +103,7 @@ class SnakeContext:
         if link is None:
             s = self.snake
             if kind == "tail":
-                ctx = snake_context(s.subsnake(2, s.r))
+                ctx = snake_context(prime_tail(s))
             else:
                 # g2 is the crossed interval of a connected pair, so in bounds
                 ctx = snake_context(Snake._of(s.n, (self.head[1],) + s.intervals[2:]))
@@ -163,7 +167,7 @@ class SnakeContext:
             return SnakeContext._greedy
         g1, g2, g3, g4, g22, g23 = self.head
         # the generators of the first tail
-        self.tail = generator_intervals(s.subsnake(2, s.r))
+        self.tail = generator_intervals(prime_tail(s))
         # g2 starts the slanted prefix unless the tail takes it
         self.slant = None if g2 in self.tail else g2
         self.p4 = self._peel(g4)
@@ -292,8 +296,9 @@ class SnakeContext:
 
     def _prefix_table(self, tail: "_Link"):
         """Per tail descriptor: its compatibility order as a prefix window of
-        s (None when it is none), and the peel of its product with g1.
-        Compiled on first use."""
+        s, and the peel of its product with g1; both None when it is not a
+        prefix window, since ``_prefix_windows`` raises on such a factor
+        before it reads the peel.  Compiled on first use."""
         if self._windows is None:
             s = self.snake
             # keyed by weight: a prime window has distinct, non-trivial intervals
@@ -306,8 +311,9 @@ class SnakeContext:
                       else (1, -(2 * le[0] + le[1]))
                       for le in (table.get(d.weight.exps) for d in tail.ctx.alphabet)]
             g1 = s.intervals[0]
-            with_g1 = [(self.find(d.weight.exps + ((g1, 1),)), (g1,) + d.intervals)
-                       for d in tail.ctx.alphabet]
+            with_g1 = [None if order is None else
+                       (self.find(d.weight.exps + ((g1, 1),)), (g1,) + d.intervals)
+                       for order, d in zip(orders, tail.ctx.alphabet)]
             self._windows = orders, with_g1
         return self._windows
 

@@ -198,10 +198,16 @@ def fr_set(s: Snake) -> tuple[PrimeDescriptor, ...]:
     return _descriptors(s.n, entries)
 
 
+def _first_by_weight(s: Snake) -> dict:
+    """The first descriptor of each weight in ``pr_set(s) + fr_set(s)``, in
+    that order, keyed by the weight's ``exps``."""
+    out = {}
+    for d in pr_set(s) + fr_set(s):
+        out.setdefault(d.weight.exps, d)
+    return out
+
+
 @per_snake
 def descriptor_index(s: Snake) -> dict:
     """Weight to descriptor over the full alphabet; identity is the weight."""
-    index = {}
-    for d in pr_set(s) + fr_set(s):
-        index.setdefault(d.weight, d)
-    return index
+    return {d.weight: d for d in _first_by_weight(s).values()}

@@ -19,7 +19,9 @@ def _memo(s: Snake) -> dict:
 
 
 def per_snake(fn):
-    """Keep ``fn(s)``, never None, in the memo of s; a call that raises keeps nothing."""
+    """Keep ``fn(s)``, never None, in the memo of s; a call that raises keeps
+    nothing.  ``keep(s, value)`` records a value of ``fn(s)`` known without
+    the call, unless the memo of s already holds one."""
     @wraps(fn)
     def memoized(s: Snake):
         slot = _memo(s)
@@ -27,6 +29,7 @@ def per_snake(fn):
         if value is None:
             value = slot[fn] = fn(s)
         return value
+    memoized.keep = lambda s, value: _memo(s).setdefault(fn, value)
     return memoized
 
 
@@ -166,6 +169,19 @@ def require_prime(s: Snake) -> SnakeClassification:
     if not c.prime:
         raise PreconditionError("snake is not prime: %s" % s)
     return c
+
+
+def prime_tail(s: Snake) -> Snake:
+    """The tail (positions 2..r) of a prime snake of length r >= 3, with its
+    classification kept in its memo.  Pairs decide primality, so a slice of
+    a prime snake is prime, and its alternation bits are those of s from the
+    second on: the kernel need not run on it."""
+    eps = require_prime(s).eps
+    if s.r < 3:
+        raise PreconditionError("a prime tail needs length >= 3, got %d" % s.r)
+    t = s.subsnake(2, s.r)
+    classify.keep(t, SnakeClassification(True, True, True, eps[1:]))
+    return t
 
 
 def check_enumeration(s: Snake) -> bool:

@@ -1,8 +1,10 @@
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
 
 import snakealg as sa
+from snakealg import snakes
 
 S2_TEXT = "[(0,2),(-1,1)] @ n=3"
 SSTAR_TEXT = "[(0,6),(-1,4),(2,5),(1,3),(3,4)] @ n=6"
@@ -29,6 +31,15 @@ def corpus():
 def small_corpus():
     spec = sa.CorpusSpec(r_max=3, span=6, filters=frozenset({"prime"}))
     return tuple(sa.enumerate_snakes(spec))
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty per-snake memo for one test, so that what it derives (the
+    contexts and the links they compile, classifications) is built anew
+    and dropped afterwards."""
+    monkeypatch.setattr(snakes, "_memo", lru_cache(snakes.SNAKE_MEMO_SIZE)(
+        snakes._memo.__wrapped__))
 
 
 def translated(s, t):

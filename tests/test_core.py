@@ -73,6 +73,30 @@ class TestMonoidElement:
         with pytest.raises(sa.PreconditionError, match=r"^negative exponent for \(0,3\)$"):
             MonoidElement.from_exponents(6, {(0, 3): -1})
 
+    @pytest.mark.parametrize("e", [1.5, 1.0, True, "2", None], ids=repr)
+    def test_non_integer_exponent_rejected(self, e):
+        # a fractional exponent once printed as its floor and factored into
+        # a generator of multiplicity 0.5
+        with pytest.raises(sa.PreconditionError,
+                           match=r"^exponent of w\{-1,4\} must be an integer, got "):
+            MonoidElement.from_exponents(6, {Interval(-1, 4): e, Interval(0, 5): 1})
+        with pytest.raises(sa.PreconditionError,
+                           match=r"^exponent of w\{-1,4\} must be an integer, got "):
+            MonoidElement.from_pairs(6, [((-1, 4), e)])
+
+    @pytest.mark.parametrize("iv", [(0, 2.5), (0.0, 2), (False, 2), ("0", "2")], ids=repr)
+    def test_non_integer_endpoint_rejected(self, iv):
+        with pytest.raises(sa.PreconditionError,
+                           match=r"^interval endpoints must be integers, got Interval"):
+            MonoidElement.from_exponents(6, {iv: 1})
+        with pytest.raises(sa.PreconditionError, match="endpoints must be integers"):
+            MonoidElement.generator(Interval(*iv), 6)
+
+    @pytest.mark.parametrize("n", [6.0, True, "6"], ids=repr)
+    def test_non_integer_rank_rejected(self, n):
+        with pytest.raises(sa.PreconditionError, match=r"^rank must be an integer, got "):
+            MonoidElement.from_exponents(n, {Interval(0, 2): 1})
+
     def test_plain_tuple_keys(self):
         w = MonoidElement.from_exponents(6, {(0, 6): 1, (-1, 4): 2, (2, 2): 1})
         assert w == gen(0, 6) * gen(-1, 4) * gen(-1, 4)
@@ -162,6 +186,17 @@ class TestSnake:
     def test_bad_rank(self):
         with pytest.raises(sa.PreconditionError, match=r"^rank must be >= 1$"):
             Snake(0, (Interval(0, 1),))
+
+    @pytest.mark.parametrize("n", [3.0, True, "3"], ids=repr)
+    def test_non_integer_rank(self, n):
+        with pytest.raises(sa.PreconditionError, match=r"^rank must be an integer, got "):
+            Snake(n, ((0, 2),))
+
+    @pytest.mark.parametrize("iv", [(0, 1.5), (0.0, 2), (0, True)], ids=repr)
+    def test_non_integer_endpoints(self, iv):
+        with pytest.raises(sa.PreconditionError,
+                           match=r"^interval endpoints must be integers, got Interval"):
+            Snake(3, ((-1, 1), iv))
 
     def test_check_messages(self, sstar):
         with pytest.raises(sa.PreconditionError,

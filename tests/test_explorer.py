@@ -36,6 +36,26 @@ class TestCorpusSpec:
         assert spec == want and hash(spec) == hash(want)
         assert list(sa.enumerate_snakes(spec)) == list(sa.enumerate_snakes(want))
 
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None, 1.0], ids=repr)
+    def test_non_bool_translation_normalized(self, flag):
+        with pytest.raises(sa.PreconditionError, match="translation_normalized"):
+            sa.CorpusSpec(r_max=3, span=5, translation_normalized=flag)
+
+    @pytest.mark.parametrize("filters", [5, None, 2.5], ids=repr)
+    def test_non_iterable_filters(self, filters):
+        with pytest.raises(sa.PreconditionError, match="collection of filter names"):
+            sa.CorpusSpec(r_max=3, span=5, filters=filters)
+
+    @pytest.mark.parametrize("filters", ["prime", b"prime", ""], ids=repr)
+    def test_bare_string_filters(self, filters):
+        # not read letter by letter
+        with pytest.raises(sa.PreconditionError, match="collection of filter names"):
+            sa.CorpusSpec(r_max=3, span=5, filters=filters)
+
+    def test_unhashable_filter_names(self):
+        with pytest.raises(sa.PreconditionError, match="collection of filter names"):
+            sa.CorpusSpec(r_max=3, span=5, filters=[["prime"]])
+
     def test_unknown_filter(self):
         with pytest.raises(sa.PreconditionError):
             sa.CorpusSpec(r_max=3, span=5, filters=frozenset({"shiny"}))

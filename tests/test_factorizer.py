@@ -1,5 +1,4 @@
 import sys
-from functools import lru_cache
 
 import pytest
 
@@ -130,8 +129,9 @@ def prime_links(ctx):
 
 
 class TestLinkTables:
-    def test_lifts_are_index_entries_and_alphabets_restrict(self, small_corpus):
-        tall = [s for s in small_corpus if s.r >= 3]
+    def test_lifts_are_index_entries_and_alphabets_restrict(self, corpus):
+        # children of length 2 to 4
+        tall = [s for s in corpus if s.r >= 3]
         links = 0
         for s in tall:
             ctx = snake_context(s)
@@ -148,14 +148,6 @@ class TestLinkTables:
                 links += 1
         # every tail, and at least one ŝ
         assert len(tall) < links <= 2 * len(tall)
-
-
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty per-snake memo for one test, so that its contexts (and the
-    links they compile) are built anew and dropped afterwards."""
-    monkeypatch.setattr(snakes, "_memo", lru_cache(snakes.SNAKE_MEMO_SIZE)(
-        snakes._memo.__wrapped__))
 
 
 def record_ledgers(monkeypatch, contexts, runs):
@@ -217,15 +209,15 @@ class TestOneCheckedPass:
     def test_non_generator_descriptor_interval(self, sstar, monkeypatch, fresh_memo):
         # sstar's alphabet gains a descriptor weighing w{0,3}, which is not
         # one of its generators
-        index = factorizer.descriptor_index
+        by_weight = factorizer._first_by_weight
         bad = w("w{0,3}")
 
         def corrupt(s):
-            out = dict(index(s))
+            out = dict(by_weight(s))
             if s == sstar:
-                out[bad] = sa.PrimeDescriptor("generator", (sa.Interval(0, 3),), bad)
+                out[bad.exps] = sa.PrimeDescriptor("generator", (sa.Interval(0, 3),), bad)
             return out
-        monkeypatch.setattr(factorizer, "descriptor_index", corrupt)
+        monkeypatch.setattr(factorizer, "_first_by_weight", corrupt)
         with pytest.raises(sa.FalsifiedInvariantError) as info:
             sa.factor(w("w{0,6}"), sstar)
         assert str(info.value) == (

@@ -1,6 +1,7 @@
 import pytest
 
 import snakealg as sa
+from snakealg import snakes
 
 from conftest import boundary, translated
 
@@ -67,6 +68,31 @@ class TestClassify:
         for s in small_corpus:
             cs, cr = sa.classify(s), sa.classify(s.reflect())
             assert (cs.stable, cs.connected, cs.prime) == (cr.stable, cr.connected, cr.prime)
+
+
+class TestPrimeTail:
+    def test_kept_classification_is_the_kernel_s(self, corpus, fresh_memo):
+        tails = 0
+        for s in corpus:
+            if s.r < 3:
+                continue
+            t = snakes.prime_tail(s)
+            assert t == s.subsnake(2, s.r)
+            # kept by prime_tail: the memo is fresh and nothing classified t
+            assert snakes._memo(t)[snakes._classify] == snakes._classify(t), s
+            tails += 1
+        assert tails > 1000
+
+    def test_kept_value_is_served(self, sstar, fresh_memo):
+        t = snakes.prime_tail(sstar)
+        assert sa.classify(t) is snakes._memo(t)[snakes._classify]
+        assert sa.classify(t).eps == sa.classify(sstar).eps[1:]
+
+    def test_needs_length_three(self):
+        with pytest.raises(sa.PreconditionError, match=r"^a prime tail needs length >= 3, got 2$"):
+            snakes.prime_tail(snake("[(0,2),(-1,1)] @ n=3"))
+        with pytest.raises(sa.PreconditionError, match="^snake is not prime"):
+            snakes.prime_tail(snake("[(0,4),(2,5),(0,3)] @ n=5"))
 
 
 class TestEnumeration:
