@@ -76,9 +76,10 @@ class TestPrimeTail:
         for s in corpus:
             if s.r < 3:
                 continue
+            snakes._memo.cache_clear()
             t = snakes.prime_tail(s)
             assert t == s.subsnake(2, s.r)
-            # kept by prime_tail: the memo is fresh and nothing classified t
+            # the memo was empty, so it holds the classification prime_tail kept
             assert snakes._memo(t)[snakes._classify] == snakes._classify(t), s
             tails += 1
         assert tails > 1000
