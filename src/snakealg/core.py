@@ -294,14 +294,14 @@ class Snake(_Value):
 
     def iv(self, p: int) -> Interval:
         """1-based access, matching the indexing used throughout."""
-        if not 1 <= p <= self.r:
-            raise PreconditionError("index %d out of range 1..%d" % (p, self.r))
+        if not (type(p) is int and 1 <= p <= self.r):
+            raise PreconditionError("index %r out of range 1..%d" % (p, self.r))
         return self.intervals[p - 1]
 
     def subsnake(self, p: int, l: int) -> "Snake":
         """The slice at positions p..l (1-based, inclusive)."""
-        if not 1 <= p <= l <= self.r:
-            raise PreconditionError("bad slice %d..%d of length %d" % (p, l, self.r))
+        if not (type(p) is int and type(l) is int and 1 <= p <= l <= self.r):
+            raise PreconditionError("bad slice %r..%r of length %d" % (p, l, self.r))
         return Snake._of(self.n, self.intervals[p - 1:l])
 
     @property

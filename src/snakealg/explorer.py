@@ -135,6 +135,8 @@ def enumerate_snakes(spec: CorpusSpec):
 
 def oracle_factorizations(w: MonoidElement, s: Snake, cap: int = 4):
     """All multisets of descriptor weights multiplying to w, by backtracking."""
+    if type(cap) is not int:
+        raise PreconditionError("oracle cap must be an integer, got %r" % (cap,))
     if w.ht > cap:
         raise PreconditionError("height %d exceeds oracle cap %d" % (w.ht, cap))
     weights = sorted(descriptor_index(s).keys(), key=lambda x: x.exps)

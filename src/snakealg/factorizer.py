@@ -4,21 +4,23 @@ The engine below is a case ledger.  It reads the head generators of a snake
 for either first alternation bit and otherwise only which generators an
 element holds, so it runs on both orientations as they are.
 
-Each snake is compiled once into a ``SnakeContext``: its generators, its
-head generators and its descriptor alphabet keyed by weight.  The contexts
-the ledger hands work to (the tail and the extended snake ŝ) are compiled
-on first use.  They all have the same rank, so an interval names the same
-generator in each, and each works on an element as a map from interval to
-exponent.  The ledger peels the whole multiplicity of a case in one step,
-so its cost depends on the support of an element, not on its height.  An
-element that lives wholly over the tail goes to the tail's context, one
-level at a time, and only the top-level call checks the weight, unless that
-check fails (see ``factor``).
+Each snake ``factor`` is called on is compiled once into a ``SnakeContext``:
+its generators, its head generators and its descriptor alphabet keyed by
+weight.  The contexts the ledger hands work to (the tail and the extended
+snake ŝ) are compiled on first use over that same alphabet: their primes
+are the snake's primes that live over their generators, so a child factor
+is already a descriptor of the snake.  They all have the same rank, so an
+interval names the same generator in each, and each works on an element as
+a map from interval to exponent.  The ledger peels the whole multiplicity
+of a case in one step, so its cost depends on the support of an element,
+not on its height.  An element that lives wholly over the tail goes to the
+tail's context, one level at a time, and only the top-level call checks the
+weight, unless that check fails (see ``factor``).
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from operator import itemgetter
 
 from .core import Interval, MonoidElement, Snake, _set_hash, _Value
@@ -30,39 +32,43 @@ from .snakes import crossed, per_snake, prime_tail, require_prime
 
 @per_snake
 def snake_context(s: Snake) -> "SnakeContext":
-    """The compiled context of a prime snake.  It also holds the contexts it
-    hands work to, each of a shorter snake."""
-    return SnakeContext(s)
+    """The compiled context of a prime snake, over its descriptor alphabet.
+    It also holds the contexts it hands work to, each of a shorter snake
+    over the same alphabet."""
+    _, exps, alphabet = zip(*sorted(
+        (-sum(map(_exponent, exps)), exps, d)
+        for exps, d in _first_by_weight(s).items()))
+    ctx = SnakeContext(s, exps, alphabet, {e: k for k, e in enumerate(exps)})
+    for pairs in ctx.exps:
+        for iv, _ in pairs:
+            if iv not in ctx.gens:
+                raise FalsifiedInvariantError(
+                    "descriptor weight interval %s is not a generator of %s" % (iv, s))
+    return ctx
 
 
 class SnakeContext:
-    """Everything the ledger needs to know about one prime snake.
+    """Everything the ledger needs to know about one prime snake s.
 
     An element maps each interval of its support to its exponent.
-    ``alphabet`` lists the first descriptor of each weight of ``pr_set(s) +
-    fr_set(s)`` (the values of ``descriptor_index(s)``, read without
-    hashing a weight) in canonical order, so sorting descriptor indices
-    sorts factors; ``exps[k]`` is ``alphabet[k]``'s weight as (interval,
-    exponent) pairs, and ``index`` maps it back to k.  The tail a context
-    compiles or links to is built by ``prime_tail``, which keeps its
-    classification, so no tail is classified anew.
+    ``alphabet`` lists the first descriptor of each weight of ``pr_set(t) +
+    fr_set(t)`` in canonical order, where t is the snake ``snake_context``
+    compiled: s itself, or the snake whose chain of tail and ŝ links leads
+    to s.  Sorting descriptor indices sorts factors; ``exps[k]`` is
+    ``alphabet[k]``'s weight as (interval, exponent) pairs, and ``index``
+    maps it back to k.  The descriptors of s are those whose weights live
+    over its generators.  The tail a context compiles or links to is built
+    by ``prime_tail``, which keeps its classification, so no tail is
+    classified anew.
     """
 
-    def __init__(self, s: Snake):
+    def __init__(self, s: Snake, exps: tuple, alphabet: tuple, index: dict):
         self.snake = s
         eps0 = require_prime(s).eps[0]
-        _, self.exps, self.alphabet = zip(*sorted(
-            (-sum(map(_exponent, exps)), exps, d)
-            for exps, d in _first_by_weight(s).items()))
+        self.exps, self.alphabet, self.index = exps, alphabet, index
         self.gens = generator_intervals(s)
-        for exps in self.exps:
-            for iv, _ in exps:
-                if iv not in self.gens:
-                    raise FalsifiedInvariantError(
-                        "descriptor weight interval %s is not a generator of %s" % (iv, s))
-        self.index = {exps: k for k, exps in enumerate(self.exps)}
         self.head = _head_generators(s, eps0) if s.r >= 3 else None
-        self._links: dict[str, _Link] = {}
+        self._links: dict[str, SnakeContext] = {}
         self._windows = None
         # the ledger of this length, as a plain function so that the context
         # holds no reference to itself
@@ -96,32 +102,38 @@ class SnakeContext:
     def element(self, v) -> MonoidElement:
         return MonoidElement.from_pairs(self.snake.n, v.items())
 
-    def link(self, kind: str) -> "_Link":
-        """The tail context (kind "tail": positions 2..r) or the ŝ context
-        (kind "shat": g2 followed by positions 3..r), compiled on first use."""
-        link = self._links.get(kind)
-        if link is None:
+    def link(self, kind: str) -> "SnakeContext":
+        """The context of the tail (kind "tail": positions 2..r) or of ŝ (kind
+        "shat": g2 followed by positions 3..r), compiled on first use over
+        this context's alphabet and held here only."""
+        ctx = self._links.get(kind)
+        if ctx is None:
             s = self.snake
             if kind == "tail":
-                ctx = snake_context(prime_tail(s))
+                t = prime_tail(s)
             else:
                 # g2 is the crossed interval of a connected pair, so in bounds
-                ctx = snake_context(Snake._of(s.n, (self.head[1],) + s.intervals[2:]))
-            link = self._links[kind] = _Link(
-                ctx, [(self.index.get(d.weight.exps), d.intervals) for d in ctx.alphabet],
-                [ctx.snake.intervals[0] in d.intervals for d in ctx.alphabet])
-        return link
+                t = Snake._of(s.n, (self.head[1],) + s.intervals[2:])
+            ctx = self._links[kind] = SnakeContext(t, self.exps, self.alphabet, self.index)
+        return ctx
 
-    def _hand(self, link: "_Link", v: dict[Interval, int], checked: bool) -> dict[int, int]:
-        """Factor v, in the submonoid of link's context, over it: by its solve if
-        checked, which leaves v as it is, else by its ledger, which consumes v
-        (a failed unchecked pass is run again checked, so no message shows it)."""
-        ctx = link.ctx
+    def _hand(self, ctx: "SnakeContext", v: dict[Interval, int], counts: dict[int, int],
+              checked: bool) -> dict[int, int]:
+        """Add the factors of v, in the submonoid of the context ctx, over it
+        to counts, and return counts: by its solve if checked, which leaves v
+        as it is, else by its ledger, which consumes v (a failed unchecked
+        pass is run again checked, so no message shows it)."""
         if checked:
-            return ctx.solve(v, True)
-        counts: dict[int, int] = {}
-        ctx._ledger(ctx, v, counts, False)
+            for k, m in ctx.solve(v, True).items():
+                counts[k] = counts.get(k, 0) + m
+        else:
+            ctx._ledger(ctx, v, counts, False)
         return counts
+
+    def _holds(self, k: int, iv: Interval) -> bool:
+        """Whether descriptor k holds the interval iv, which is not trivial
+        (so it is one of k's intervals exactly when it is in k's weight)."""
+        return any(c == iv for c, _ in self.exps[k])
 
     # -- the ledger ---------------------------------------------------------
 
@@ -164,6 +176,9 @@ class SnakeContext:
     def _compile_ledger(self):
         s = self.snake
         if s.r <= 2:
+            # the descriptors of s: those of the alphabet over its generators
+            self.own = [k for k, exps in enumerate(self.exps)
+                        if self.gens.issuperset([iv for iv, _ in exps])]
             return SnakeContext._greedy
         g1, g2, g3, g4, g22, g23 = self.head
         # the generators of the first tail
@@ -177,15 +192,16 @@ class SnakeContext:
         return SnakeContext._head
 
     def _greedy(self, v, counts, checked):
-        """The ledger for r <= 2: each descriptor in canonical order takes as
-        many copies as are left.  The pair is the only descriptor of height 2,
-        so it takes min(a, b) and the generators take the rest."""
-        for k, exps in enumerate(self.exps):
+        """The ledger for r <= 2: each descriptor of s in canonical order
+        takes as many copies as are left.  The pair is the only descriptor of
+        height 2, so it takes min(a, b) and the generators take the rest."""
+        for k in self.own:
+            exps = self.exps[k]
             if not v.get(exps[0][0]):  # off the support
                 continue
             m = min([v.get(c, 0) // e for c, e in exps])
             if m:
-                counts[k] = m
+                counts[k] = counts.get(k, 0) + m
                 for c, e in exps:
                     v[c] -= e * m
 
@@ -201,12 +217,7 @@ class SnakeContext:
         while v:
             # v lives over the tail (self.tail is its gens); its ledger consumes v
             if self.tail.issuperset(v):
-                link = self.link("tail")
-                for j, m in self._hand(link, v, checked).items():
-                    k = link.lift[j][0]
-                    if k is None:
-                        self._emit(counts, link.lift[j], m)
-                    counts[k] = counts.get(k, 0) + m
+                self._hand(self.link("tail"), v, counts, checked)
                 return
             # anti-connected extremal generator splits off freely
             if g4 in v:
@@ -241,18 +252,18 @@ class SnakeContext:
 
     def _slanted_prefix(self, v, counts, checked):
         """Peel the slanted prefix through the extended snake ŝ of length r-1."""
-        link = self.link("shat")
-        g1, g22 = self.head[0], self.head[4]
+        shat = self.link("shat")
+        g1, g2, g22 = self.head[0], self.head[1], self.head[4]
         what = {iv: e for iv, e in v.items() if iv != g1 and iv != g22}
-        link.ctx._check_member(what)
-        special = [(j, m) for j, m in sorted(self._hand(link, what, checked).items())
-                   if link.has_head[j]]
+        shat._check_member(what)
+        special = [(k, m) for k, m in sorted(self._hand(shat, what, {}, checked).items())
+                   if self._holds(k, g2)]
         if not special:
             raise FalsifiedInvariantError(
                 "no prefix-bearing factor for %s over %s"
-                % (self.element(what), link.ctx.snake))
-        for j, m in special:
-            self._take(v, counts, link.lift[j], m)
+                % (self.element(what), shat.snake))
+        for k, m in special:
+            self._take(v, counts, (k, self.alphabet[k].intervals), m)
 
     def _prefix_windows(self, v, counts, checked):
         """Final case: push everything through the tail and re-read the
@@ -263,58 +274,53 @@ class SnakeContext:
             raise FalsifiedInvariantError(
                 "ledger exhausted for %s over %s" % (self.element(v), self.snake))
         wtil = {iv: e for iv, e in v.items() if iv != g1}
-        link = self.link("tail")
-        orders, with_g1 = self._prefix_table(link)
-        link.ctx._check_member(wtil)
+        tail = self.link("tail")
+        windows = self._prefix_table()
+        tail._check_member(wtil)
         special, rest = [], []
-        for j, m in sorted(self._hand(link, wtil, checked).items()):
-            (special if link.has_head[j] else rest).append((j, m))
+        for k, m in sorted(self._hand(tail, wtil, {}, checked).items()):
+            (special if self._holds(k, g22) else rest).append((k, m))
         found = sum(m for _, m in special)
         if found != c:
             raise FalsifiedInvariantError(
                 "expected %d prefix-window factors for %s over %s, found %d"
                 % (c, self.element(v), self.snake, found))
         annotated = []
-        for j, m in special:
-            order = orders[j]
-            if order is None:
+        for k, m in special:
+            window = windows.get(k)
+            if window is None:
                 raise FalsifiedInvariantError(
                     "factor %s of %s is not a prefix window of %s"
-                    % (link.ctx.alphabet[j].weight, self.element(wtil), self.snake))
-            annotated.append((order, j, m))
+                    % (self.alphabet[k].weight, self.element(wtil), self.snake))
+            annotated.append((window[0], k, m))
         # the first a1 windows in compatibility order absorb the head interval
         annotated.sort()
-        for _, j, m in annotated:
-            k = min(a1, m)
-            a1 -= k
-            if k:
-                self._emit(counts, with_g1[j], k)
-            if m - k:
-                self._emit(counts, link.lift[j], m - k)
-        for j, m in rest:
-            self._emit(counts, link.lift[j], m)
+        for _, k, m in annotated:
+            a = min(a1, m)
+            a1 -= a
+            if a:
+                self._emit(counts, windows[k][1], a)
+            if m - a:
+                counts[k] = counts.get(k, 0) + m - a
+        for k, m in rest:
+            counts[k] = counts.get(k, 0) + m
 
-    def _prefix_table(self, tail: "_Link"):
-        """Per tail descriptor: its compatibility order as a prefix window of
-        s, and the peel of its product with g1; both None when it is not a
-        prefix window, since ``_prefix_windows`` raises on such a factor
-        before it reads the peel.  Compiled on first use."""
+    def _prefix_table(self):
+        """Per descriptor that is a prefix window of s: its compatibility
+        order, and the peel of its product with g1.  ``_prefix_windows``
+        raises on any other factor that holds the second interval before it
+        reads the table.  Compiled on first use."""
         if self._windows is None:
             s = self.snake
-            # keyed by weight: a prime window has distinct, non-trivial intervals
-            table = {tuple(sorted([(iv, 1) for iv in ivs])): (l, e2)
-                     for (p, l, e, e2), ivs in window_cuts(s) if p == 0 and e == 0}
-            # compatibility ordering: even-parity windows ascending, then
-            # odd-parity windows descending
-            orders = [None if le is None else
-                      (0, 2 * le[0] + le[1]) if (le[0] + le[1]) % 2 == 0
-                      else (1, -(2 * le[0] + le[1]))
-                      for le in (table.get(d.weight.exps) for d in tail.ctx.alphabet)]
             g1 = s.intervals[0]
-            with_g1 = [None if order is None else
-                       (self.find(d.weight.exps + ((g1, 1),)), (g1,) + d.intervals)
-                       for order, d in zip(orders, tail.ctx.alphabet)]
-            self._windows = orders, with_g1
+            self._windows = windows = {}
+            for (p, l, e, e2), ivs in window_cuts(s):
+                if p == 0 and e == 0:
+                    # compatibility ordering: even-parity windows ascending,
+                    # then odd-parity windows descending
+                    order = (0, 2 * l + e2) if (l + e2) % 2 == 0 else (1, -(2 * l + e2))
+                    # a prime window has distinct, non-trivial intervals
+                    windows[self._peel(*ivs)[0]] = order, self._peel(g1, *ivs)
         return self._windows
 
 
@@ -332,12 +338,6 @@ def _head_generators(s: Snake, e1: int) -> tuple[Interval, ...]:
             Interval(iv[2 + e1].i, iv[3 - e1].j))
 
 
-# A context of a shorter snake, ctx, that a parent context hands part of an
-# element to, with per child descriptor the peel of its intervals in the
-# parent (lift) and whether it has g2, for ŝ, or g22, for the tail (has_head).
-# Both snakes have the same rank, so an interval means the same generator in
-# each, and the child works on the parent's map as it is.
-_Link = namedtuple("_Link", "ctx lift has_head")
 _exponent = itemgetter(1)
 
 

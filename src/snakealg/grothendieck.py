@@ -14,11 +14,7 @@ from .factorizer import factor
 from .snakes import both_ends_differ, crossed, require_prime
 
 
-class IrredClass(namedtuple("IrredClass", "omega")):
-    __slots__ = ()
-
-    def __str__(self):
-        return "[V(%s)]" % self.omega
+IrredClass = namedtuple("IrredClass", "omega")
 
 
 def irred_class(w: MonoidElement, s: Snake) -> IrredClass:

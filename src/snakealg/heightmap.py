@@ -48,8 +48,8 @@ class HeightProfile(namedtuple("HeightProfile", "snake N p_seq xi")):
     __slots__ = ()  # xi[t-1] is the value at t, 1 <= t <= N
 
     def xi_at(self, t: int) -> int:
-        if not 1 <= t <= self.N:
-            raise PreconditionError("height position %d out of 1..%d" % (t, self.N))
+        if not (type(t) is int and 1 <= t <= self.N):
+            raise PreconditionError("height position %r out of 1..%d" % (t, self.N))
         return self.xi[t - 1]
 
     def i_xi(self, t: int) -> int:
@@ -155,8 +155,8 @@ def _pgen(h: HeightProfile, a_idx: int, b_idx: int) -> MonoidElement:
 def _bracket(h: HeightProfile, t: int, t2: int) -> tuple[int, int]:
     """For height positions t < t2, the first m with p_(m-1) < t <= p_m
     (p_0 = 0) and the last l with p_l <= t2."""
-    if not 1 <= t < t2 <= h.N:
-        raise PreconditionError("bad position pair (%d,%d)" % (t, t2))
+    if not (type(t) is int and type(t2) is int and 1 <= t < t2 <= h.N):
+        raise PreconditionError("bad position pair (%r,%r)" % (t, t2))
     p = h.p_seq
     ks = range(1, len(p) + 1)
     return (next(k for k in ks if (p[k - 2] if k >= 2 else 0) < t <= p[k - 1]),

@@ -120,8 +120,9 @@ def window_snake(s: Snake, e: int, e2: int, p: int, l: int) -> Snake:
     """The window of s at cuts (p, l, e, e2) (see ``window_cuts``).  The
     result is always prime."""
     require_prime(s)
-    if not (e in (0, 1) and e2 in (0, 1) and -1 <= p and p + 2 <= l <= s.r):
-        raise PreconditionError("bad window cuts e=%d e2=%d p=%d l=%d for r=%d"
+    if not (all(type(x) is int for x in (e, e2, p, l))
+            and e in (0, 1) and e2 in (0, 1) and -1 <= p and p + 2 <= l <= s.r):
+        raise PreconditionError("bad window cuts e=%r e2=%r p=%r l=%r for r=%d"
                                 % (e, e2, p, l, s.r))
     ivs = dict(window_cuts(s)).get((p, l, e, e2))
     if ivs is None:

@@ -5,6 +5,8 @@ import pytest
 
 import snakealg as sa
 from snakealg import snakes
+from snakealg.factorizer import snake_context
+from snakealg.primesets import _first_by_weight
 
 S2_TEXT = "[(0,2),(-1,1)] @ n=3"
 SSTAR_TEXT = "[(0,6),(-1,4),(2,5),(1,3),(3,4)] @ n=6"
@@ -64,3 +66,25 @@ def monomials(s, max_ht):
             for iv in combo:
                 exps[iv] += 1
             yield sa.MonoidElement(s.n, tuple(exps.items()))
+
+
+def check_levels(s):
+    """Check that the contexts the factorizer reaches from the one of s, by
+    tail links and links to a prime ŝ at any depth, each have as their own
+    descriptor weights the weights of s that live over their generators:
+    they factor over the alphabet of s.  Returns how many levels there are,
+    s included."""
+    top = snake_context(s)
+    todo, levels = [top], 0
+    while todo:
+        ctx = todo.pop()
+        levels += 1
+        assert set(_first_by_weight(ctx.snake)) == {
+            exps for exps in top.exps
+            if ctx.gens.issuperset([iv for iv, _ in exps])}, (str(s), str(ctx.snake))
+        t = ctx.snake
+        if t.r >= 3:
+            todo.append(ctx.link("tail"))
+            if sa.classify(sa.Snake(t.n, (ctx.head[1],) + t.intervals[2:])).prime:
+                todo.append(ctx.link("shat"))
+    return levels

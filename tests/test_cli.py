@@ -85,10 +85,11 @@ class TestFactor:
         assert product == parse_monoid_element("w{0,5}^2000", 6)
 
     def test_falsified_invariant(self, capsys, monkeypatch):
-        # the generator descriptor of w{1,3} over sstar's last tail is
-        # corrupted to weigh w{1,3}^2
-        tail = sa.parse_snake(SSTAR).subsnake(4, 5)
-        ctx = snake_context(tail)
+        # the generator descriptor of w{1,3} is corrupted to weigh w{1,3}^2
+        # in the alphabet of sstar's last tail context
+        ctx = snake_context(sa.parse_snake(SSTAR))
+        for _ in range(3):
+            ctx = ctx.link("tail")
         k = next(k for k, d in enumerate(ctx.alphabet) if str(d) == "generator[(1,3)]")
         exps = list(ctx.exps)
         exps[k] = ((sa.Interval(1, 3), 2),)

@@ -210,6 +210,16 @@ class TestSnake:
         with pytest.raises(sa.PreconditionError, match=r"^bad slice 0..2 of length 5$"):
             sstar.subsnake(0, 2)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, True], ids=repr)
+    def test_non_integer_positions(self, sstar, p):
+        with pytest.raises(sa.PreconditionError,
+                           match=r"^index %s out of range 1..5$" % p):
+            sstar.iv(p)
+        with pytest.raises(sa.PreconditionError, match=r"^bad slice %s..3 of length 5$" % p):
+            sstar.subsnake(p, 3)
+        with pytest.raises(sa.PreconditionError, match=r"^bad slice 1..%s of length 5$" % p):
+            sstar.subsnake(1, p)
+
     def test_reflect_translate(self, s2):
         assert s2.reflect().intervals == (Interval(-2, 0), Interval(-1, 1))
         assert translated(s2, 2).intervals == (Interval(2, 4), Interval(1, 3))

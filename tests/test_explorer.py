@@ -235,6 +235,10 @@ class TestOracle:
         big = sa.parse_monoid_element("w{0,2}^5", 3)
         with pytest.raises(sa.PreconditionError):
             sa.oracle_factorizations(big, s2, cap=4)
+        for cap in (2.5, 5.0, True):
+            with pytest.raises(sa.PreconditionError,
+                               match=r"^oracle cap must be an integer, got %s$" % cap):
+                sa.oracle_factorizations(sa.parse_monoid_element("w{0,2}", 3), s2, cap=cap)
 
 
 class TestRandomSnake:

@@ -8,7 +8,7 @@ from snakealg import MonoidElement, Snake, factorizer, snakes
 from snakealg.factorizer import SnakeContext, snake_context
 from snakealg.primesets import window_cuts
 
-from conftest import monomials
+from conftest import check_levels, monomials
 
 
 def w(text, n=6):
@@ -97,14 +97,16 @@ class TestInvariants:
 
 def check_links(ctx):
     """Every context linked from ctx, at any depth, is of the tail or the ŝ
-    snake of its parent, as it is: none is of a reflected snake."""
+    snake of its parent, as it is: none is of a reflected snake.  Each works
+    over its parent's alphabet."""
     s = ctx.snake
     expected = {"tail": s.subsnake(2, s.r)}
     if s.r >= 3:
         expected["shat"] = Snake(s.n, (ctx.head[1],) + s.intervals[2:])
-    for kind, link in ctx._links.items():
-        assert link.ctx.snake == expected[kind], (kind, s)
-        check_links(link.ctx)
+    for kind, child in ctx._links.items():
+        assert child.snake == expected[kind], (kind, s)
+        assert child.index is ctx.index and child.alphabet is ctx.alphabet, (kind, s)
+        check_links(child)
 
 
 class TestBothOrientations:
@@ -121,33 +123,11 @@ class TestBothOrientations:
             check_links(ctx)
 
 
-def prime_links(ctx):
-    """The tail link of ctx, and its ŝ link when ŝ is prime."""
-    s = ctx.snake
-    shat = Snake(s.n, (ctx.head[1],) + s.intervals[2:])
-    return [ctx.link("tail")] + ([ctx.link("shat")] if sa.classify(shat).prime else [])
-
-
-class TestLinkTables:
-    def test_lifts_are_index_entries_and_alphabets_restrict(self, corpus):
-        # children of length 2 to 4
-        tall = [s for s in corpus if s.r >= 3]
-        links = 0
-        for s in tall:
-            ctx = snake_context(s)
-            for link in prime_links(ctx):
-                child = link.ctx
-                for (k, ivs), d in zip(link.lift, child.alphabet):
-                    assert k == ctx.index[d.weight.exps], (s, child.snake, d)
-                    assert ivs == d.intervals
-                # the child's weights, in order, are the parent's weights
-                # that live over the child's generators
-                assert child.exps == tuple(
-                    exps for exps in ctx.exps
-                    if child.gens.issuperset(iv for iv, _ in exps)), (s, child.snake)
-                links += 1
-        # every tail, and at least one ŝ
-        assert len(tall) < links <= 2 * len(tall)
+class TestOneAlphabet:
+    def test_every_level_restricts_the_top_alphabet(self, corpus):
+        # the 1853 snakes, and 6298 tails and prime ŝ snakes at every depth
+        # below them (one snake can be reached along two paths)
+        assert sum(check_levels(s) for s in corpus) == 8151
 
 
 def record_ledgers(monkeypatch, contexts, runs):
@@ -163,9 +143,10 @@ def record_ledgers(monkeypatch, contexts, runs):
 class TestOneCheckedPass:
     def test_corrupt_tail_names_the_tail(self, sstar, monkeypatch, fresh_memo):
         # w{1,3} lives over the last tail [(1,3),(3,4)]; its generator
-        # descriptor there is corrupted to weigh w{1,3}^2
+        # descriptor in the shared alphabet is corrupted to weigh w{1,3}^2
+        # before any link is compiled
         tail = sstar.subsnake(4, 5)
-        ctx = snake_context(tail)
+        ctx = snake_context(sstar)
         k = next(k for k, d in enumerate(ctx.alphabet) if str(d) == "generator[(1,3)]")
         exps = list(ctx.exps)
         exps[k] = ((sa.Interval(1, 3), 2),)
@@ -175,7 +156,10 @@ class TestOneCheckedPass:
         assert str(info.value) == "weight recovery failed for w{1,3} over %s: got 1" % tail
 
     def test_tail_only_element_walks_down_to_the_last_tail(self, sstar, monkeypatch):
-        chain = [snake_context(sstar.subsnake(p, 5)) for p in (1, 2, 3, 4)]
+        chain = [snake_context(sstar)]
+        while len(chain) < 4:
+            chain.append(chain[-1].link("tail"))
+        assert [ctx.snake for ctx in chain] == [sstar.subsnake(p, 5) for p in (1, 2, 3, 4)]
         runs, solves = [], []
         record_ledgers(monkeypatch, chain, runs)
         solve = SnakeContext.solve
@@ -195,16 +179,6 @@ class TestOneCheckedPass:
                             lambda s: read.append(s) or gens(s))
         snake_context(sstar)
         assert read == [sstar, sstar.subsnake(2, 5)]
-
-    def test_missing_intermediate_lift_names_its_snake(self, sstar, monkeypatch, fresh_memo):
-        root = snake_context(sstar)
-        middle = root.link("tail").ctx
-        link = middle.link("tail")
-        j = next(j for j, d in enumerate(link.ctx.alphabet) if str(d) == "generator[(1,3)]")
-        link.lift[j] = (None, link.lift[j][1])  # the memo is this test's own
-        with pytest.raises(sa.FalsifiedInvariantError) as info:
-            sa.factor(w("w{1,3}"), sstar)
-        assert str(info.value) == "weight w{1,3} is not a prime descriptor of %s" % middle.snake
 
     def test_non_generator_descriptor_interval(self, sstar, monkeypatch, fresh_memo):
         # sstar's alphabet gains a descriptor weighing w{0,3}, which is not

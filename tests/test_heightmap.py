@@ -44,6 +44,10 @@ class TestProfile:
         h = hm.height_profile(sstar)
         with pytest.raises(sa.PreconditionError):
             h.xi_at(7)
+        for t in (1.5, 2.0, True):
+            with pytest.raises(sa.PreconditionError,
+                               match=r"^height position %s out of 1..6$" % t):
+                h.xi_at(t)
 
 
 class TestSnakeOfXi:
@@ -105,6 +109,16 @@ class TestPairElements:
         for t, t2 in ((0, 3), (2, 0), (3, 3), (1, 7)):
             with pytest.raises(sa.PreconditionError):
                 hm.window_image(sstar, t, t2)
+
+    @pytest.mark.parametrize("t, t2", [(1.5, 3), (True, 3), (2, 3.0)], ids=repr)
+    def test_non_integer_pair(self, sstar, t, t2):
+        # in range, but no height position: a bad input, not a library bug
+        h = hm.height_profile(sstar)
+        message = r"^bad position pair \(%s,%s\)$" % (t, t2)
+        with pytest.raises(sa.PreconditionError, match=message):
+            hm.omega_pair(h, t, t2)
+        with pytest.raises(sa.PreconditionError, match=message):
+            hm.window_image(sstar, t, t2)
 
 
 class TestIndexSets:

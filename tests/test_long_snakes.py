@@ -9,7 +9,7 @@ import pytest
 import snakealg as sa
 from snakealg import heightmap as hm
 
-from conftest import boundary
+from conftest import boundary, check_levels
 
 SAMPLE = 250
 # seeded submonoid elements per boundary snake for the transport check
@@ -50,6 +50,13 @@ def test_invariants_on_long_snakes(long_snakes):
         if boundary(s):
             hm.cluster_export(s)
             assert boundary(hm.snake_of_xi(s)), str(s)
+
+
+@pytest.mark.slow
+def test_child_alphabets_on_long_snakes(long_snakes):
+    # the 250 sampled snakes, and 2183 tails and prime ŝ snakes at every
+    # depth below them
+    assert sum(check_levels(s) for s in long_snakes) == 2433
 
 
 @pytest.mark.slow

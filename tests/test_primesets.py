@@ -123,6 +123,13 @@ class TestWindows:
             with pytest.raises(sa.PreconditionError):
                 sa.window_snake(sstar, e, e2, 0, 3)
 
+    @pytest.mark.parametrize("cuts", [(0, 0, 0.0, 3), (False, 0, 0, 3), (0, True, 0, 3),
+                                      (0, 0, 0, 3.0)], ids=repr)
+    def test_non_integer_cuts(self, sstar, cuts):
+        with pytest.raises(sa.PreconditionError,
+                           match=r"^bad window cuts e=%s e2=%s p=%s l=%s for r=5$" % cuts):
+            sa.window_snake(sstar, *cuts)
+
 
 class TestDescriptorSets:
     def test_sstar_sizes(self, sstar):
