@@ -7,15 +7,14 @@ element holds, so it runs on both orientations as they are.
 Each snake ``factor`` is called on is compiled once into a ``SnakeContext``:
 its generators, its head generators and its descriptor alphabet keyed by
 weight.  The contexts the ledger hands work to (the tail and the extended
-snake ŝ) are compiled on first use over that same alphabet: their primes
-are the snake's primes that live over their generators, so a child factor
-is already a descriptor of the snake.  They all have the same rank, so an
-interval names the same generator in each, and each works on an element as
-a map from interval to exponent.  The ledger peels the whole multiplicity
-of a case in one step, so its cost depends on the support of an element,
-not on its height.  An element that lives wholly over the tail goes to the
-tail's context, one level at a time, and only the top-level call checks the
-weight, unless that check fails (see ``factor``).
+snake ŝ) are compiled on first use over the same alphabet, since their
+primes are the snake's primes that live over their generators.  They all
+have the same rank, so an interval names the same generator in each, and
+each works on an element as a map from interval to exponent.  The ledger
+peels the whole multiplicity of a case in one step, so its cost depends on
+the support of an element, not on its height.  An element that lives wholly
+over the tail goes to the tail's context, one level at a time, and only the
+top-level call checks the weight, unless that check fails (see ``factor``).
 """
 
 from __future__ import annotations
@@ -256,7 +255,7 @@ class SnakeContext:
         g1, g2, g22 = self.head[0], self.head[1], self.head[4]
         what = {iv: e for iv, e in v.items() if iv != g1 and iv != g22}
         shat._check_member(what)
-        special = [(k, m) for k, m in sorted(self._hand(shat, what, {}, checked).items())
+        special = [(k, m) for k, m in self._hand(shat, what, {}, checked).items()
                    if self._holds(k, g2)]
         if not special:
             raise FalsifiedInvariantError(
@@ -277,9 +276,12 @@ class SnakeContext:
         tail = self.link("tail")
         windows = self._prefix_table()
         tail._check_member(wtil)
-        special, rest = [], []
+        special = []
         for k, m in sorted(self._hand(tail, wtil, {}, checked).items()):
-            (special if self._holds(k, g22) else rest).append((k, m))
+            if self._holds(k, g22):
+                special.append((k, m))
+            else:
+                counts[k] = counts.get(k, 0) + m
         found = sum(m for _, m in special)
         if found != c:
             raise FalsifiedInvariantError(
@@ -302,8 +304,6 @@ class SnakeContext:
                 self._emit(counts, windows[k][1], a)
             if m - a:
                 counts[k] = counts.get(k, 0) + m - a
-        for k, m in rest:
-            counts[k] = counts.get(k, 0) + m
 
     def _prefix_table(self):
         """Per descriptor that is a prefix window of s: its compatibility

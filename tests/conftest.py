@@ -78,11 +78,11 @@ def check_levels(s):
     todo, levels = [top], 0
     while todo:
         ctx = todo.pop()
-        levels += 1
-        assert set(_first_by_weight(ctx.snake)) == {
-            exps for exps in top.exps
-            if ctx.gens.issuperset([iv for iv, _ in exps])}, (str(s), str(ctx.snake))
         t = ctx.snake
+        levels += 1
+        assert set(_first_by_weight(t)) == {
+            exps for exps in top.exps
+            if ctx.gens.issuperset([iv for iv, _ in exps])}, (str(s), str(t))
         if t.r >= 3:
             todo.append(ctx.link("tail"))
             if sa.classify(sa.Snake(t.n, (ctx.head[1],) + t.intervals[2:])).prime:

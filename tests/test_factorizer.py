@@ -180,6 +180,17 @@ class TestOneCheckedPass:
         snake_context(sstar)
         assert read == [sstar, sstar.subsnake(2, 5)]
 
+    def test_missing_intermediate_peel_names_its_snake(self, sstar, monkeypatch, fresh_memo):
+        # w{-1,5}, the g4 of sstar's first tail, lives over that tail, whose
+        # g4 peel is made to find no descriptor
+        middle = snake_context(sstar).link("tail")
+        g4 = middle.head[3]
+        monkeypatch.setattr(middle, "p4", (None, middle.p4[1]))
+        with pytest.raises(sa.FalsifiedInvariantError) as info:
+            sa.factor(MonoidElement.from_pairs(6, [(g4, 1)]), sstar)
+        assert str(info.value) == "weight %s is not a prime descriptor of %s" % (
+            w("w{-1,5}"), middle.snake)
+
     def test_non_generator_descriptor_interval(self, sstar, monkeypatch, fresh_memo):
         # sstar's alphabet gains a descriptor weighing w{0,3}, which is not
         # one of its generators
