@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import itemgetter
+from weakref import WeakValueDictionary
 
 from .core import Interval, MonoidElement, Snake, _set_hash, _Value
 from .errors import FalsifiedInvariantError, PreconditionError
@@ -58,16 +59,21 @@ class SnakeContext:
     maps it back to k.  The descriptors of s are those whose weights live
     over its generators.  The tail a context compiles or links to is built
     by ``prime_tail``, which keeps its classification, so no tail is
-    classified anew.
+    classified anew.  All contexts under one top context share ``compiled``,
+    its children by snake, so that a snake two links reach (the tail of ŝ is
+    the tail of the tail) is compiled once; it holds them weakly, so that no
+    context holds a reference to itself.
     """
 
-    def __init__(self, s: Snake, exps: tuple, alphabet: tuple, index: dict):
+    def __init__(self, s: Snake, exps: tuple, alphabet: tuple, index: dict,
+                 compiled: WeakValueDictionary | None = None):
         self.snake = s
         eps0 = require_prime(s).eps[0]
         self.exps, self.alphabet, self.index = exps, alphabet, index
         self.gens = generator_intervals(s)
         self.head = _head_generators(s, eps0) if s.r >= 3 else None
         self._links: dict[str, SnakeContext] = {}
+        self._compiled = WeakValueDictionary() if compiled is None else compiled
         self._windows = None
         # the ledger of this length, as a plain function so that the context
         # holds no reference to itself
@@ -104,7 +110,8 @@ class SnakeContext:
     def link(self, kind: str) -> "SnakeContext":
         """The context of the tail (kind "tail": positions 2..r) or of ŝ (kind
         "shat": g2 followed by positions 3..r), compiled on first use over
-        this context's alphabet and held here only."""
+        this context's alphabet, unless a context under the same top has
+        compiled it, and held here only."""
         ctx = self._links.get(kind)
         if ctx is None:
             s = self.snake
@@ -113,7 +120,11 @@ class SnakeContext:
             else:
                 # g2 is the crossed interval of a connected pair, so in bounds
                 t = Snake._of(s.n, (self.head[1],) + s.intervals[2:])
-            ctx = self._links[kind] = SnakeContext(t, self.exps, self.alphabet, self.index)
+            ctx = self._compiled.get(t)
+            if ctx is None:
+                ctx = self._compiled[t] = SnakeContext(
+                    t, self.exps, self.alphabet, self.index, self._compiled)
+            self._links[kind] = ctx
         return ctx
 
     def _hand(self, ctx: "SnakeContext", v: dict[Interval, int], counts: dict[int, int],

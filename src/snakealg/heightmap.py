@@ -94,6 +94,12 @@ def interval_set_xi(h: HeightProfile) -> frozenset[Interval]:
 
 
 @per_snake
+def _xi_intervals(s: Snake) -> frozenset[Interval]:
+    """``interval_set_xi`` of the height profile of s, kept with s."""
+    return interval_set_xi(height_profile(s))
+
+
+@per_snake
 def _induced(s: Snake) -> tuple[Interval, ...]:
     """The intervals read off the height profile of s, position by position:
     position m reads height position p_(r+1-m), shifted down by eps_m."""
@@ -127,59 +133,68 @@ def height_iso(s: Snake) -> SnakeIso:
     except PreconditionError:
         raise FalsifiedInvariantError("induced snake %s fails the matching conditions "
                                       "against %s" % (out, s)) from None
-    if interval_set(out) != interval_set_xi(h):
+    if interval_set(out) != _xi_intervals(s):
         raise FalsifiedInvariantError(
             "interval sets disagree for %s: %s vs %s"
-            % (s, sorted(interval_set(out)), sorted(interval_set_xi(h))))
+            % (s, sorted(interval_set(out)), sorted(_xi_intervals(s))))
     return iso
 
 
-def _omega_pp(h: HeightProfile, m: int, l: int) -> MonoidElement:
-    """The product of the induced intervals read at height positions p_m..p_l."""
-    r = h.snake.r
-    ivs = _induced(h.snake)[r - l:r - m + 1]
-    return MonoidElement.from_pairs(h.N, ((iv, 1) for iv in ivs))
-
-
-def _pgen(h: HeightProfile, a_idx: int, b_idx: int) -> MonoidElement:
-    """Boundary correction generator: the left end of the induced interval
+def _correction(s: Snake, ivs: tuple[Interval, ...], a_idx: int, b_idx: int) -> Interval:
+    """Boundary correction interval: the left end of the induced interval
     read at p_a and the right end of the one read at p_b."""
-    r = h.snake.r
+    r = s.r
     if not (1 <= a_idx <= r and 1 <= b_idx <= r):
         raise FalsifiedInvariantError(
-            "correction position (%d,%d) out of range for %s" % (a_idx, b_idx, h.snake))
-    ivs = _induced(h.snake)
-    return MonoidElement.generator(Interval(ivs[r - a_idx].i, ivs[r - b_idx].j), h.N)
+            "correction position (%d,%d) out of range for %s" % (a_idx, b_idx, s))
+    return Interval(ivs[r - a_idx].i, ivs[r - b_idx].j)
+
+
+@per_snake
+def _brackets(s: Snake) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bracket table of the height profile of s: for each height position
+    t (at index t), the first m with p_(m-1) < t <= p_m (p_0 = 0) and the
+    last l with p_l <= t (0 if there is none)."""
+    first, last = [0], [0]
+    lo = 0
+    for k, pk in enumerate(height_profile(s).p_seq, 1):
+        for t in range(lo + 1, pk + 1):
+            first.append(k)
+            last.append(k if t == pk else k - 1)
+        lo = pk
+    return tuple(first), tuple(last)
 
 
 def _bracket(h: HeightProfile, t: int, t2: int) -> tuple[int, int]:
     """For height positions t < t2, the first m with p_(m-1) < t <= p_m
-    (p_0 = 0) and the last l with p_l <= t2."""
+    (p_0 = 0) and the last l with p_l <= t2, read off the bracket table."""
     if not (type(t) is int and type(t2) is int and 1 <= t < t2 <= h.N):
         raise PreconditionError("bad position pair (%r,%r)" % (t, t2))
-    p = h.p_seq
-    ks = range(1, len(p) + 1)
-    return (next(k for k in ks if (p[k - 2] if k >= 2 else 0) < t <= p[k - 1]),
-            max(k for k in ks if p[k - 1] <= t2))
+    first, last = _brackets(h.snake)
+    return first[t], last[t2]
 
 
 def omega_pair(h: HeightProfile, t: int, t2: int) -> MonoidElement:
-    """The indexing element attached to a pair of height positions t < t2."""
+    """The indexing element attached to a pair of height positions t < t2:
+    the product of the induced intervals read at p_m..p_l and of a boundary
+    correction at each end that falls short of a bracketing position."""
     m, l = _bracket(h, t, t2)
-    eps = require_prime(h.snake).eps
-    r = h.snake.r
+    s = h.snake
+    eps = require_prime(s).eps
+    r = s.r
     p = h.p_seq
     if m > l or not p[l - 1] <= t2 or (l < r and not t2 < p[l]):
         raise FalsifiedInvariantError(
-            "no bracketing positions for (%d,%d) in %s" % (t, t2, h.snake))
-    w = _omega_pp(h, m, l)
+            "no bracketing positions for (%d,%d) in %s" % (t, t2, s))
+    ivs = _induced(s)
+    pairs = [(iv, 1) for iv in ivs[r - l:r - m + 1]]
     if t != p[m - 1]:
         e = eps[r - m]
-        w = w * _pgen(h, m - 1 - e, m - 2 + e)
+        pairs.append((_correction(s, ivs, m - 1 - e, m - 2 + e), 1))
     if t2 != p[l - 1]:
         e = eps[r - l]
-        w = w * _pgen(h, l + 2 - e, l + 1 + e)
-    return w
+        pairs.append((_correction(s, ivs, l + 2 - e, l + 1 + e), 1))
+    return MonoidElement.from_pairs(h.N, pairs)
 
 
 def window_image(s: Snake, t: int, t2: int) -> MonoidElement:
@@ -197,7 +212,7 @@ def window_image(s: Snake, t: int, t2: int) -> MonoidElement:
 def pr_xi(s: Snake) -> frozenset[MonoidElement]:
     h = height_profile(s)
     out = set()
-    for iv in interval_set_xi(h):
+    for iv in _xi_intervals(s):
         w = MonoidElement.generator(iv, h.N)
         if not w.is_one:
             out.add(w)
@@ -214,8 +229,8 @@ def fr_xi(s: Snake) -> frozenset[MonoidElement]:
     h = height_profile(s)
     out = set()
     for t in range(1, h.N + 1):
-        w = (MonoidElement.generator(Interval(h.i_xi(t), h.j_xi(t)), h.N)
-             * MonoidElement.generator(Interval(h.i_xi(t) - 1, h.j_xi(t) - 1), h.N))
+        i, j = h.i_xi(t), h.j_xi(t)
+        w = MonoidElement.from_pairs(h.N, ((Interval(i, j), 1), (Interval(i - 1, j - 1), 1)))
         if not w.is_one:
             out.add(w)
     return frozenset(out)
@@ -246,6 +261,10 @@ def cluster_export(s: Snake) -> dict:
     h = height_profile(s)
     bij = pr_bijection(s)
     iso = height_iso(s)
+    frozen = fr_xi(s)
+    # each exchangeable element is printed once: sorted by it, the rows are
+    # sorted by their first entries, which are distinct
+    rows = sorted([str(w), str(img)] for w, img in bij.items())
     return {
         "type": "A_%d" % h.N,
         "N": h.N,
@@ -253,9 +272,8 @@ def cluster_export(s: Snake) -> dict:
         "height_snake": str(iso.source),
         "xi": list(h.xi),
         "p_seq": list(h.p_seq),
-        "exchangeable": sorted(str(w) for w in pr_xi(s)),
-        "frozen": sorted(str(w) for w in fr_xi(s)),
-        "frozen_images": sorted(str(iso.eta(w)) for w in fr_xi(s)),
-        "correspondence": sorted(
-            [str(w), str(img)] for w, img in bij.items()),
+        "exchangeable": [w for w, _ in rows],
+        "frozen": sorted(str(w) for w in frozen),
+        "frozen_images": sorted(str(iso.eta(w)) for w in frozen),
+        "correspondence": rows,
     }

@@ -62,10 +62,13 @@ class SnakeIso(_Value):
         if w.n != self.source.n:
             raise PreconditionError("rank mismatch: %d vs %d" % (w.n, self.source.n))
         m = self._map
-        if not all(iv in m for iv in w.support):
+        try:
+            exps = [(m[iv], e) for iv, e in w.exps]
+        except KeyError:
             raise PreconditionError(
-                "element %s is outside the submonoid of %s" % (w, self.source))
-        return MonoidElement(self.target.n, tuple(sorted((m[iv], e) for iv, e in w.exps)))
+                "element %s is outside the submonoid of %s" % (w, self.source)) from None
+        exps.sort()
+        return MonoidElement(self.target.n, tuple(exps))
 
 
 def build_iso(s: Snake, t: Snake) -> SnakeIso:

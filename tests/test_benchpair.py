@@ -1,6 +1,8 @@
-"""The summaries of ``tools/benchpair.py`` on synthetic runs."""
+"""The summaries of ``tools/benchpair.py`` on synthetic runs, and its command
+line with git, the exports and the runs stood in for."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -108,3 +110,39 @@ class TestRegression:
 
     def test_no_bounds_no_gate(self):
         assert benchpair.compare(RUNS, BETTER)["regression"] == {"ops": None, "ms": None}
+
+
+class TestMain:
+    def test_a_missing_scratch_dir_is_made_before_the_first_export(self, tmp_path,
+                                                                   monkeypatch):
+        # git, the export and the benchmark run are stood in for, so no
+        # benchmark runs; each export goes into a fresh directory in scratch
+        scratch = tmp_path / "not" / "yet"
+        bench = {"run_seconds": 1, "end_to_end": [
+            {"name": "ops", "better": "higher", "bound": 0.25}]}
+        doc = {"correct": True, "attempted": 1, "failed": 0,
+               "metrics": {"ops": {"value": 1.0}}}
+        exports = []
+
+        def git(*args):
+            if args[0] == "rev-parse":
+                return args[2].split("^")[0]
+            return json.dumps(bench) if args[0] == "show" else ""
+
+        class Proc:
+            returncode, stdout, stderr = 0, json.dumps(doc) + "\n", ""
+
+        monkeypatch.setattr(benchpair, "git", git)
+        monkeypatch.setattr(benchpair, "export",
+                            lambda commit, dest, paths=(): exports.append(dest))
+        monkeypatch.setattr(benchpair.subprocess, "run", lambda *args, **kwargs: Proc)
+        out = tmp_path / "bench.json"
+        assert benchpair.main(["--base", "b", "--change", "c", "--out", str(out),
+                               "--workloads", "atlas", "--pairs", "1",
+                               "--scratch", str(scratch)]) == 0
+        # base, change and the change's benchmark into the base export
+        assert len(exports) == 3
+        assert all(dest.parent == scratch for dest in exports)
+        assert not list(scratch.iterdir())
+        assert json.loads(out.read_text())["results"][0]["change_better_in_pairs"] == {
+            "ops": "0 of 1"}

@@ -130,6 +130,31 @@ class TestOneAlphabet:
         assert sum(check_levels(s) for s in corpus) == 8151
 
 
+class TestSharedChildren:
+    def test_tail_of_shat_is_the_tail_of_the_tail(self, sstar, monkeypatch, fresh_memo):
+        compiled = []
+        init = SnakeContext.__init__
+        monkeypatch.setattr(SnakeContext, "__init__",
+                            lambda self, s, *args: compiled.append(s) or init(self, s, *args))
+        top = snake_context(sstar)
+        assert top.link("shat").link("tail") is top.link("tail").link("tail")
+        # ŝ and its tail, positions 3..r, then the first tail but not its tail
+        assert compiled == [sstar, top.link("shat").snake, sstar.subsnake(3, 5),
+                            sstar.subsnake(2, 5)]
+
+    def test_each_snake_is_compiled_once_per_top(self, corpus):
+        for s in corpus:
+            todo, seen = [snake_context(s)], {}
+            while todo:
+                ctx = todo.pop()
+                assert seen.setdefault(ctx.snake, ctx) is ctx, (str(s), str(ctx.snake))
+                t = ctx.snake
+                if t.r >= 3:
+                    todo.append(ctx.link("tail"))
+                    if sa.classify(Snake(t.n, (ctx.head[1],) + t.intervals[2:])).prime:
+                        todo.append(ctx.link("shat"))
+
+
 def record_ledgers(monkeypatch, contexts, runs):
     """Append the snake of each context in contexts to runs whenever its
     ledger runs."""

@@ -102,6 +102,30 @@ class TestPairElements:
                     img = iso.eta(hm.omega_pair(h, t, t2))
                     assert img == hm.window_image(s, t, t2), (str(s), t, t2)
 
+    def test_bracket_table_matches_its_definition(self, corpus):
+        for s in corpus:
+            if s.r < 3 or not boundary(s):
+                continue
+            h = hm.height_profile(s)
+            p = h.p_seq
+            ks = range(1, len(p) + 1)
+            for t in range(1, h.N + 1):
+                for t2 in range(t + 1, h.N + 1):
+                    # the first m with p_(m-1) < t <= p_m (p_0 = 0), and the
+                    # last l with p_l <= t2, by linear search
+                    m = next(k for k in ks if (p[k - 2] if k >= 2 else 0) < t <= p[k - 1])
+                    l = max(k for k in ks if p[k - 1] <= t2)
+                    assert hm._bracket(h, t, t2) == (m, l), (str(s), t, t2)
+
+    def test_pr_xi_builds_every_pair_through_omega_pair(self, sstar, monkeypatch,
+                                                        fresh_memo):
+        pairs = []
+        omega_pair = hm.omega_pair
+        monkeypatch.setattr(hm, "omega_pair",
+                            lambda h, t, t2: pairs.append((t, t2)) or omega_pair(h, t, t2))
+        hm.pr_xi(sstar)
+        assert pairs == [(t, t2) for t in range(1, 7) for t2 in range(t + 1, 7)]
+
     def test_bad_pair(self, sstar):
         h = hm.height_profile(sstar)
         with pytest.raises(sa.PreconditionError):

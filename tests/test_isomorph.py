@@ -77,8 +77,15 @@ class TestBuildIso:
 
     def test_eta_outside_submonoid(self, s2):
         iso = sa.build_iso(s2, s2)
-        with pytest.raises(sa.PreconditionError):
+        with pytest.raises(sa.PreconditionError) as info:
             iso.eta(w("w{1,3}", 3))
+        assert str(info.value) == (
+            "element w{1,3} is outside the submonoid of [(0,2),(-1,1)] @ n=3")
+        # one generator outside is enough, wherever it sorts
+        with pytest.raises(sa.PreconditionError) as info:
+            iso.eta(w("w{0,2}^2 * w{1,3} * w{-1,1}", 3))
+        assert str(info.value) == ("element w{-1,1} * w{0,2}^2 * w{1,3} is outside "
+                                   "the submonoid of [(0,2),(-1,1)] @ n=3")
 
     def test_eta_refuses_other_rank(self, s2):
         iso = sa.build_iso(s2, sa.parse_snake("[(0,3),(-2,1)] @ n=5"))

@@ -170,6 +170,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    if args.scratch is not None:
+        args.scratch.mkdir(parents=True, exist_ok=True)
     commits = {side: git("rev-parse", "--verify", ref + "^{commit}")
                for side, ref in (("base", args.base), ("change", args.change))}
     bench = json.loads(git("show", commits["change"] + ":BENCHMARK.json"))
