@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import itemgetter
-from weakref import WeakValueDictionary
+from weakref import ref
 
 from .core import Interval, MonoidElement, Snake, _set_hash, _Value
 from .errors import FalsifiedInvariantError, PreconditionError
@@ -60,20 +60,20 @@ class SnakeContext:
     over its generators.  The tail a context compiles or links to is built
     by ``prime_tail``, which keeps its classification, so no tail is
     classified anew.  All contexts under one top context share ``compiled``,
-    its children by snake, so that a snake two links reach (the tail of ŝ is
-    the tail of the tail) is compiled once; it holds them weakly, so that no
-    context holds a reference to itself.
+    a weak reference to each of its children by snake, so that a snake two
+    links reach (the tail of ŝ is the tail of the tail) is compiled once;
+    weak, so that no context holds a reference to itself.
     """
 
     def __init__(self, s: Snake, exps: tuple, alphabet: tuple, index: dict,
-                 compiled: WeakValueDictionary | None = None):
+                 compiled: dict | None = None):
         self.snake = s
         eps0 = require_prime(s).eps[0]
         self.exps, self.alphabet, self.index = exps, alphabet, index
         self.gens = generator_intervals(s)
         self.head = _head_generators(s, eps0) if s.r >= 3 else None
         self._links: dict[str, SnakeContext] = {}
-        self._compiled = WeakValueDictionary() if compiled is None else compiled
+        self._compiled = {} if compiled is None else compiled
         self._windows = None
         # the ledger of this length, as a plain function so that the context
         # holds no reference to itself
@@ -120,10 +120,11 @@ class SnakeContext:
             else:
                 # g2 is the crossed interval of a connected pair, so in bounds
                 t = Snake._of(s.n, (self.head[1],) + s.intervals[2:])
-            ctx = self._compiled.get(t)
+            known = self._compiled.get(t)
+            ctx = known() if known is not None else None
             if ctx is None:
-                ctx = self._compiled[t] = SnakeContext(
-                    t, self.exps, self.alphabet, self.index, self._compiled)
+                ctx = SnakeContext(t, self.exps, self.alphabet, self.index, self._compiled)
+                self._compiled[t] = ref(ctx)
             self._links[kind] = ctx
         return ctx
 

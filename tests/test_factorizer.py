@@ -1,4 +1,6 @@
+import gc
 import sys
+import weakref
 
 import pytest
 
@@ -141,6 +143,19 @@ class TestSharedChildren:
         # ŝ and its tail, positions 3..r, then the first tail but not its tail
         assert compiled == [sstar, top.link("shat").snake, sstar.subsnake(3, 5),
                             sstar.subsnake(2, 5)]
+
+    def test_contexts_go_with_their_top(self, sstar, fresh_memo):
+        # freed by reference counting: the shared map holds no context
+        top = snake_context(sstar)
+        shared = weakref.ref(top.link("shat").link("tail"))
+        assert shared() is top.link("tail").link("tail")
+        gc.disable()
+        try:
+            snakes._memo.cache_clear()
+            del top
+            assert shared() is None
+        finally:
+            gc.enable()
 
     def test_each_snake_is_compiled_once_per_top(self, corpus):
         for s in corpus:
