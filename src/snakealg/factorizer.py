@@ -7,8 +7,8 @@ element holds, so it runs on both orientations as they are.
 Each snake ``factor`` is called on is compiled once into a ``SnakeContext``:
 its generators, its head generators and its descriptor alphabet keyed by
 weight.  The contexts the ledger hands work to (the tail and the extended
-snake ŝ) are compiled on first use over the same alphabet, since their
-primes are the snake's primes that live over their generators.  They all
+snake ŝ) are compiled with it, in one pass, over the same alphabet, since
+their primes are the snake's primes that live over their generators.  They all
 have the same rank, so an interval names the same generator in each, and
 each works on an element as a map from interval to exponent.  The ledger
 peels the whole multiplicity of a case in one step, so its cost depends on
@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import itemgetter
-from weakref import ref
 
 from .core import Interval, MonoidElement, Snake, _set_hash, _Value
 from .errors import FalsifiedInvariantError, PreconditionError
-from .primesets import (PrimeDescriptor, _first_by_weight, generator_intervals,
+from .primesets import (PrimeDescriptor, descriptor_index, generator_intervals,
                         window_cuts)
 from .snakes import crossed, per_snake, prime_tail, require_prime
 
@@ -34,11 +33,12 @@ from .snakes import crossed, per_snake, prime_tail, require_prime
 def snake_context(s: Snake) -> "SnakeContext":
     """The compiled context of a prime snake, over its descriptor alphabet.
     It also holds the contexts it hands work to, each of a shorter snake
-    over the same alphabet."""
+    over the same alphabet: the whole tree, compiled in this one call, with
+    each snake of it compiled once."""
     _, exps, alphabet = zip(*sorted(
-        (-sum(map(_exponent, exps)), exps, d)
-        for exps, d in _first_by_weight(s).items()))
-    ctx = SnakeContext(s, exps, alphabet, {e: k for k, e in enumerate(exps)})
+        (-sum(map(_exponent, w.exps)), w.exps, d)
+        for w, d in descriptor_index(s).items()))
+    ctx = SnakeContext(s, exps, alphabet, {e: k for k, e in enumerate(exps)}, {})
     for pairs in ctx.exps:
         for iv, _ in pairs:
             if iv not in ctx.gens:
@@ -53,31 +53,32 @@ class SnakeContext:
     An element maps each interval of its support to its exponent.
     ``alphabet`` lists the first descriptor of each weight of ``pr_set(t) +
     fr_set(t)`` in canonical order, where t is the snake ``snake_context``
-    compiled: s itself, or the snake whose chain of tail and ŝ links leads
-    to s.  Sorting descriptor indices sorts factors; ``exps[k]`` is
+    compiled: s itself, or the snake whose chain of tail and ŝ contexts
+    leads to s.  Sorting descriptor indices sorts factors; ``exps[k]`` is
     ``alphabet[k]``'s weight as (interval, exponent) pairs, and ``index``
     maps it back to k.  The descriptors of s are those whose weights live
-    over its generators.  The tail a context compiles or links to is built
-    by ``prime_tail``, which keeps its classification, so no tail is
-    classified anew.  All contexts under one top context share ``compiled``,
-    a weak reference to each of its children by snake, so that a snake two
-    links reach (the tail of ŝ is the tail of the tail) is compiled once;
-    weak, so that no context holds a reference to itself.
+    over its generators.  A context of length r >= 3 holds the contexts of
+    its tail (built by ``prime_tail``, which keeps its classification, so no
+    tail is classified anew) and, when the slanted case can fire, of ŝ.  In
+    one ``snake_context`` call, ``compiled`` maps each snake compiled so far
+    to its context, so a snake two paths reach (the tail of ŝ is the tail of
+    the tail) is compiled once.
     """
 
+    # the contexts of the tail and of ŝ, for r >= 3 (ŝ only with ``slant``)
+    tail_ctx = shat_ctx = None
+
     def __init__(self, s: Snake, exps: tuple, alphabet: tuple, index: dict,
-                 compiled: dict | None = None):
+                 compiled: dict):
         self.snake = s
         eps0 = require_prime(s).eps[0]
         self.exps, self.alphabet, self.index = exps, alphabet, index
         self.gens = generator_intervals(s)
         self.head = _head_generators(s, eps0) if s.r >= 3 else None
-        self._links: dict[str, SnakeContext] = {}
-        self._compiled = {} if compiled is None else compiled
         self._windows = None
         # the ledger of this length, as a plain function so that the context
         # holds no reference to itself
-        self._ledger = self._compile_ledger()
+        self._ledger = self._compile_ledger(compiled)
 
     # -- elements -----------------------------------------------------------
 
@@ -107,25 +108,11 @@ class SnakeContext:
     def element(self, v) -> MonoidElement:
         return MonoidElement.from_pairs(self.snake.n, v.items())
 
-    def link(self, kind: str) -> "SnakeContext":
-        """The context of the tail (kind "tail": positions 2..r) or of ŝ (kind
-        "shat": g2 followed by positions 3..r), compiled on first use over
-        this context's alphabet, unless a context under the same top has
-        compiled it, and held here only."""
-        ctx = self._links.get(kind)
+    def _child(self, t: Snake, compiled: dict) -> "SnakeContext":
+        """The context of t over this alphabet, unless ``compiled`` holds it."""
+        ctx = compiled.get(t)
         if ctx is None:
-            s = self.snake
-            if kind == "tail":
-                t = prime_tail(s)
-            else:
-                # g2 is the crossed interval of a connected pair, so in bounds
-                t = Snake._of(s.n, (self.head[1],) + s.intervals[2:])
-            known = self._compiled.get(t)
-            ctx = known() if known is not None else None
-            if ctx is None:
-                ctx = SnakeContext(t, self.exps, self.alphabet, self.index, self._compiled)
-                self._compiled[t] = ref(ctx)
-            self._links[kind] = ctx
+            ctx = compiled[t] = SnakeContext(t, self.exps, self.alphabet, self.index, compiled)
         return ctx
 
     def _hand(self, ctx: "SnakeContext", v: dict[Interval, int], counts: dict[int, int],
@@ -184,7 +171,7 @@ class SnakeContext:
             else:
                 del v[c]
 
-    def _compile_ledger(self):
+    def _compile_ledger(self, compiled):
         s = self.snake
         if s.r <= 2:
             # the descriptors of s: those of the alphabet over its generators
@@ -192,10 +179,13 @@ class SnakeContext:
                         if self.gens.issuperset([iv for iv, _ in exps])]
             return SnakeContext._greedy
         g1, g2, g3, g4, g22, g23 = self.head
-        # the generators of the first tail
-        self.tail = generator_intervals(prime_tail(s))
-        # g2 starts the slanted prefix unless the tail takes it
+        self.tail_ctx = self._child(prime_tail(s), compiled)
+        self.tail = self.tail_ctx.gens
+        # g2 starts the slanted prefix, through ŝ (g2, then positions 3..r),
+        # unless the tail takes it; g2 crosses a connected pair, so is in bounds
         self.slant = None if g2 in self.tail else g2
+        if self.slant is not None:
+            self.shat_ctx = self._child(Snake._of(s.n, (g2,) + s.intervals[2:]), compiled)
         self.p4 = self._peel(g4)
         self.p3_22, self.p3 = self._peel(g3, g22), self._peel(g3)
         self.p1_23, self.p23 = self._peel(g1, g23), self._peel(g23)
@@ -228,7 +218,7 @@ class SnakeContext:
         while v:
             # v lives over the tail (self.tail is its gens); its ledger consumes v
             if self.tail.issuperset(v):
-                self._hand(self.link("tail"), v, counts, checked)
+                self._hand(self.tail_ctx, v, counts, checked)
                 return
             # anti-connected extremal generator splits off freely
             if g4 in v:
@@ -263,7 +253,7 @@ class SnakeContext:
 
     def _slanted_prefix(self, v, counts, checked):
         """Peel the slanted prefix through the extended snake ŝ of length r-1."""
-        shat = self.link("shat")
+        shat = self.shat_ctx
         g1, g2, g22 = self.head[0], self.head[1], self.head[4]
         what = {iv: e for iv, e in v.items() if iv != g1 and iv != g22}
         shat._check_member(what)
@@ -285,7 +275,7 @@ class SnakeContext:
             raise FalsifiedInvariantError(
                 "ledger exhausted for %s over %s" % (self.element(v), self.snake))
         wtil = {iv: e for iv, e in v.items() if iv != g1}
-        tail = self.link("tail")
+        tail = self.tail_ctx
         windows = self._prefix_table()
         tail._check_member(wtil)
         special = []

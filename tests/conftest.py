@@ -6,7 +6,7 @@ import pytest
 import snakealg as sa
 from snakealg import snakes
 from snakealg.factorizer import snake_context
-from snakealg.primesets import _first_by_weight
+from snakealg.primesets import descriptor_index
 
 S2_TEXT = "[(0,2),(-1,1)] @ n=3"
 SSTAR_TEXT = "[(0,6),(-1,4),(2,5),(1,3),(3,4)] @ n=6"
@@ -38,8 +38,8 @@ def small_corpus():
 @pytest.fixture
 def fresh_memo(monkeypatch):
     """An empty per-snake memo for one test, so that what it derives (the
-    contexts and the links they compile, classifications) is built anew
-    and dropped afterwards."""
+    contexts with their trees, classifications) is built anew and dropped
+    afterwards."""
     monkeypatch.setattr(snakes, "_memo", lru_cache(snakes.SNAKE_MEMO_SIZE)(
         snakes._memo.__wrapped__))
 
@@ -68,23 +68,54 @@ def monomials(s, max_ht):
             yield sa.MonoidElement(s.n, tuple(exps.items()))
 
 
+def children(ctx):
+    """The contexts ctx hands work to: of its tail, and of its ŝ if it has one."""
+    return [c for c in (ctx.tail_ctx, ctx.shat_ctx) if c is not None]
+
+
+def tree(s):
+    """The distinct contexts of the tree that ``snake_context(s)`` compiles,
+    s first."""
+    seen, todo = {}, [snake_context(s)]
+    while todo:
+        ctx = todo.pop()
+        if ctx.snake not in seen:
+            seen[ctx.snake] = ctx
+            todo += children(ctx)
+    return list(seen.values())
+
+
 def check_levels(s):
     """Check that the contexts the factorizer reaches from the one of s, by
-    tail links and links to a prime ŝ at any depth, each have as their own
-    descriptor weights the weights of s that live over their generators:
-    they factor over the alphabet of s.  Returns how many levels there are,
-    s included."""
+    tail and ŝ contexts at any depth, each have as their own descriptor
+    weights the weights of s that live over their generators: they factor
+    over the alphabet of s.  Returns how many levels there are, s included,
+    one per path."""
     top = snake_context(s)
     todo, levels = [top], 0
     while todo:
         ctx = todo.pop()
-        t = ctx.snake
         levels += 1
-        assert set(_first_by_weight(t)) == {
+        assert {w.exps for w in descriptor_index(ctx.snake)} == {
             exps for exps in top.exps
-            if ctx.gens.issuperset([iv for iv, _ in exps])}, (str(s), str(t))
-        if t.r >= 3:
-            todo.append(ctx.link("tail"))
-            if sa.classify(sa.Snake(t.n, (ctx.head[1],) + t.intervals[2:])).prime:
-                todo.append(ctx.link("shat"))
+            if ctx.gens.issuperset([iv for iv, _ in exps])}, (str(s), str(ctx.snake))
+        todo += children(ctx)
     return levels
+
+
+def check_shat_rule(s):
+    """Check, for every context of length >= 3 in the tree of s, that ŝ (g2,
+    then positions 3..r) is prime exactly when g2 is not a generator of the
+    tail, and that the context holds the context of ŝ exactly then.  Returns
+    the snakes of those contexts."""
+    checked = set()
+    for ctx in tree(s):
+        t = ctx.snake
+        if t.r >= 3:
+            g2 = ctx.head[1]
+            slanted = g2 not in ctx.tail_ctx.gens
+            assert sa.classify(sa.Snake(t.n, (g2,) + t.intervals[2:])).prime == slanted, (
+                str(s), str(t))
+            assert (ctx.shat_ctx is not None) == slanted, (str(s), str(t))
+            checked.add(t)
+    return checked

@@ -89,7 +89,7 @@ class TestFactor:
         # in the alphabet of sstar's last tail context
         ctx = snake_context(sa.parse_snake(SSTAR))
         for _ in range(3):
-            ctx = ctx.link("tail")
+            ctx = ctx.tail_ctx
         k = next(k for k, d in enumerate(ctx.alphabet) if str(d) == "generator[(1,3)]")
         exps = list(ctx.exps)
         exps[k] = ((sa.Interval(1, 3), 2),)
@@ -306,7 +306,8 @@ class TestImportPath:
         # pytest has imported all of them, random too, in this process, so a
         # fresh interpreter without site-packages imports the CLI
         code = ("import sys, snakealg.cli; print(sorted(set(sys.modules) & "
-                "{'dataclasses', 'inspect', 'typing', 'ast', 'dis', 'random'}))")
+                "{'dataclasses', 'inspect', 'typing', 'ast', 'dis', 'random', "
+                "'weakref'}))")
         src = os.path.dirname(os.path.dirname(sa.__file__))
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src))

@@ -10,7 +10,7 @@ from snakealg import MonoidElement, Snake, factorizer, snakes
 from snakealg.factorizer import SnakeContext, snake_context
 from snakealg.primesets import window_cuts
 
-from conftest import check_levels, monomials
+from conftest import check_levels, check_shat_rule, children, monomials, tree
 
 
 def w(text, n=6):
@@ -98,16 +98,18 @@ class TestInvariants:
 
 
 def check_links(ctx):
-    """Every context linked from ctx, at any depth, is of the tail or the ŝ
-    snake of its parent, as it is: none is of a reflected snake.  Each works
-    over its parent's alphabet."""
+    """Every context under ctx, at any depth, is of the tail or the ŝ snake
+    of its parent, as it is: none is of a reflected snake.  Each works over
+    its parent's alphabet."""
     s = ctx.snake
-    expected = {"tail": s.subsnake(2, s.r)}
     if s.r >= 3:
-        expected["shat"] = Snake(s.n, (ctx.head[1],) + s.intervals[2:])
-    for kind, child in ctx._links.items():
-        assert child.snake == expected[kind], (kind, s)
-        assert child.index is ctx.index and child.alphabet is ctx.alphabet, (kind, s)
+        assert ctx.tail_ctx.snake == s.subsnake(2, s.r), s
+        if ctx.shat_ctx is not None:
+            assert ctx.shat_ctx.snake == Snake(s.n, (ctx.head[1],) + s.intervals[2:]), s
+    else:
+        assert ctx.tail_ctx is None and ctx.shat_ctx is None, s
+    for child in children(ctx):
+        assert child.index is ctx.index and child.alphabet is ctx.alphabet, s
         check_links(child)
 
 
@@ -117,11 +119,10 @@ class TestBothOrientations:
                 if s.r >= 3 and sa.classify(s).eps[0] == 1][::5]
         assert len(bit1) >= 4
         for s in [sstar, sstar.reflect()] + bit1:
-            g2 = snake_context(s).head[1]
-            # g2 goes through ŝ, and what is left of g22 through the tail
-            sa.factor(MonoidElement.from_pairs(s.n, ((g2, 1), (s.iv(2), 1))), s)
             ctx = snake_context(s)
-            assert set(ctx._links) == {"tail", "shat"}, s
+            assert ctx.tail_ctx is not None and ctx.shat_ctx is not None, s
+            # g2 goes through ŝ, and what is left of g22 through the tail
+            sa.factor(MonoidElement.from_pairs(s.n, ((ctx.head[1], 1), (s.iv(2), 1))), s)
             check_links(ctx)
 
 
@@ -132,6 +133,15 @@ class TestOneAlphabet:
         assert sum(check_levels(s) for s in corpus) == 8151
 
 
+class TestShatRule:
+    def test_shat_is_prime_exactly_when_the_tail_lacks_g2(self, corpus):
+        # every distinct snake of length >= 3 in the trees of the corpus
+        checked = set()
+        for s in corpus:
+            checked |= check_shat_rule(s)
+        assert len(checked) == 2704
+
+
 class TestSharedChildren:
     def test_tail_of_shat_is_the_tail_of_the_tail(self, sstar, monkeypatch, fresh_memo):
         compiled = []
@@ -139,16 +149,18 @@ class TestSharedChildren:
         monkeypatch.setattr(SnakeContext, "__init__",
                             lambda self, s, *args: compiled.append(s) or init(self, s, *args))
         top = snake_context(sstar)
-        assert top.link("shat").link("tail") is top.link("tail").link("tail")
-        # ŝ and its tail, positions 3..r, then the first tail but not its tail
-        assert compiled == [sstar, top.link("shat").snake, sstar.subsnake(3, 5),
-                            sstar.subsnake(2, 5)]
+        assert top.shat_ctx.tail_ctx is top.tail_ctx.tail_ctx
+        # each snake of the tree once, depth first, a tail before an ŝ
+        assert compiled == [
+            sstar, sstar.subsnake(2, 5), sstar.subsnake(3, 5), sstar.subsnake(4, 5),
+            top.tail_ctx.tail_ctx.shat_ctx.snake, top.shat_ctx.snake]
+        assert set(compiled) == {ctx.snake for ctx in tree(sstar)}
 
     def test_contexts_go_with_their_top(self, sstar, fresh_memo):
-        # freed by reference counting: the shared map holds no context
+        # freed by reference counting: no context holds the compile map
         top = snake_context(sstar)
-        shared = weakref.ref(top.link("shat").link("tail"))
-        assert shared() is top.link("tail").link("tail")
+        shared = weakref.ref(top.shat_ctx.tail_ctx)
+        assert shared() is top.tail_ctx.tail_ctx
         gc.disable()
         try:
             snakes._memo.cache_clear()
@@ -163,11 +175,7 @@ class TestSharedChildren:
             while todo:
                 ctx = todo.pop()
                 assert seen.setdefault(ctx.snake, ctx) is ctx, (str(s), str(ctx.snake))
-                t = ctx.snake
-                if t.r >= 3:
-                    todo.append(ctx.link("tail"))
-                    if sa.classify(Snake(t.n, (ctx.head[1],) + t.intervals[2:])).prime:
-                        todo.append(ctx.link("shat"))
+                todo += children(ctx)
 
 
 def record_ledgers(monkeypatch, contexts, runs):
@@ -184,13 +192,14 @@ class TestOneCheckedPass:
     def test_corrupt_tail_names_the_tail(self, sstar, monkeypatch, fresh_memo):
         # w{1,3} lives over the last tail [(1,3),(3,4)]; its generator
         # descriptor in the shared alphabet is corrupted to weigh w{1,3}^2
-        # before any link is compiled
+        # in every context of the tree
         tail = sstar.subsnake(4, 5)
         ctx = snake_context(sstar)
         k = next(k for k, d in enumerate(ctx.alphabet) if str(d) == "generator[(1,3)]")
         exps = list(ctx.exps)
         exps[k] = ((sa.Interval(1, 3), 2),)
-        monkeypatch.setattr(ctx, "exps", tuple(exps))
+        for c in tree(sstar):
+            monkeypatch.setattr(c, "exps", tuple(exps))
         with pytest.raises(sa.FalsifiedInvariantError) as info:
             sa.factor(w("w{1,3}"), sstar)
         assert str(info.value) == "weight recovery failed for w{1,3} over %s: got 1" % tail
@@ -198,7 +207,7 @@ class TestOneCheckedPass:
     def test_tail_only_element_walks_down_to_the_last_tail(self, sstar, monkeypatch):
         chain = [snake_context(sstar)]
         while len(chain) < 4:
-            chain.append(chain[-1].link("tail"))
+            chain.append(chain[-1].tail_ctx)
         assert [ctx.snake for ctx in chain] == [sstar.subsnake(p, 5) for p in (1, 2, 3, 4)]
         runs, solves = [], []
         record_ledgers(monkeypatch, chain, runs)
@@ -212,18 +221,19 @@ class TestOneCheckedPass:
         assert runs == [ctx.snake for ctx in chain]
         assert solves == [sstar]
 
-    def test_compile_reads_the_first_tail_only(self, sstar, monkeypatch, fresh_memo):
+    def test_compile_reads_each_snake_of_the_tree_once(self, sstar, monkeypatch, fresh_memo):
         read = []
         gens = factorizer.generator_intervals
         monkeypatch.setattr(factorizer, "generator_intervals",
                             lambda s: read.append(s) or gens(s))
         snake_context(sstar)
-        assert read == [sstar, sstar.subsnake(2, 5)]
+        assert len(read) == len(set(read)) == 6
+        assert set(read) == {ctx.snake for ctx in tree(sstar)}
 
     def test_missing_intermediate_peel_names_its_snake(self, sstar, monkeypatch, fresh_memo):
         # w{-1,5}, the g4 of sstar's first tail, lives over that tail, whose
         # g4 peel is made to find no descriptor
-        middle = snake_context(sstar).link("tail")
+        middle = snake_context(sstar).tail_ctx
         g4 = middle.head[3]
         monkeypatch.setattr(middle, "p4", (None, middle.p4[1]))
         with pytest.raises(sa.FalsifiedInvariantError) as info:
@@ -234,15 +244,15 @@ class TestOneCheckedPass:
     def test_non_generator_descriptor_interval(self, sstar, monkeypatch, fresh_memo):
         # sstar's alphabet gains a descriptor weighing w{0,3}, which is not
         # one of its generators
-        by_weight = factorizer._first_by_weight
+        by_weight = factorizer.descriptor_index
         bad = w("w{0,3}")
 
         def corrupt(s):
             out = dict(by_weight(s))
             if s == sstar:
-                out[bad.exps] = sa.PrimeDescriptor("generator", (sa.Interval(0, 3),), bad)
+                out[bad] = sa.PrimeDescriptor("generator", (sa.Interval(0, 3),), bad)
             return out
-        monkeypatch.setattr(factorizer, "_first_by_weight", corrupt)
+        monkeypatch.setattr(factorizer, "descriptor_index", corrupt)
         with pytest.raises(sa.FalsifiedInvariantError) as info:
             sa.factor(w("w{0,6}"), sstar)
         assert str(info.value) == (

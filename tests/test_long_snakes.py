@@ -9,7 +9,7 @@ import pytest
 import snakealg as sa
 from snakealg import heightmap as hm
 
-from conftest import boundary, check_levels
+from conftest import boundary, check_levels, check_shat_rule
 
 SAMPLE = 250
 # seeded submonoid elements per boundary snake for the transport check
@@ -57,6 +57,15 @@ def test_child_alphabets_on_long_snakes(long_snakes):
     # the 250 sampled snakes, and 2183 tails and prime ŝ snakes at every
     # depth below them
     assert sum(check_levels(s) for s in long_snakes) == 2433
+
+
+@pytest.mark.slow
+def test_shat_rule_on_long_snakes(long_snakes):
+    # every distinct snake of length >= 3 in the trees of the sample
+    checked = set()
+    for s in long_snakes:
+        checked |= check_shat_rule(s)
+    assert len(checked) == 1096
 
 
 @pytest.mark.slow
