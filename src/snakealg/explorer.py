@@ -4,8 +4,6 @@ check on the canonical factorizer."""
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .core import Interval, MonoidElement, Snake, _Value
 from .errors import PreconditionError
 from .primesets import descriptor_index
@@ -74,16 +72,13 @@ def _admits(step: Step, filters) -> bool:
     return step.stable
 
 
-def _candidate_ranks(ivs: tuple[Interval, ...], spec: CorpusSpec) -> list[int]:
-    n_min = max(iv.length for iv in ivs)
-    if spec.filters & {"connected", "prime"}:
-        n_min = max([n_min] + [pair_rank(a, b) for a, b in zip(ivs, ivs[1:])])
+def _ranks(n_min: int, j_max: int, j_min: int, i_max: int, spec: CorpusSpec) -> list[int]:
+    """The candidate ranks of a prefix from its bounds: ``n_min`` is its
+    largest interval length and, under connected or prime, its largest pair
+    rank; ``j_max``, ``j_min`` and ``i_max`` are its extreme endpoints."""
     if spec.n_range is not None:
         lo, hi = spec.n_range
-        return [n for n in range(max(lo, n_min), hi + 1)]
-    j_max = max(iv.j for iv in ivs)
-    j_min = min(iv.j for iv in ivs)
-    i_max = max(iv.i for iv in ivs)
+        return list(range(max(lo, n_min), hi + 1))
     out = [n_min]
     if j_min == i_max and j_max - 1 > n_min:
         out.append(j_max - 1)
@@ -92,45 +87,93 @@ def _candidate_ranks(ivs: tuple[Interval, ...], spec: CorpusSpec) -> list[int]:
     return out
 
 
+def _candidate_ranks(ivs: tuple[Interval, ...], spec: CorpusSpec) -> list[int]:
+    """The candidate ranks of a prefix, its bounds found in one scan."""
+    linked = bool(spec.filters & {"connected", "prime"})
+    a = ivs[0]
+    n_min, j_max, j_min, i_max = a.length, a.j, a.j, a.i
+    for iv in ivs[1:]:
+        n_min = max(n_min, iv.length, pair_rank(a, iv) if linked else 0)
+        j_max, j_min, i_max = max(j_max, iv.j), min(j_min, iv.j), max(i_max, iv.i)
+        a = iv
+    return _ranks(n_min, j_max, j_min, i_max, spec)
+
+
 def _alphabet(spec: CorpusSpec) -> list[Interval]:
     return [Interval(i, j) for i in range(0, spec.span + 1)
             for j in range(i + 1, spec.span + 1)]
+
+
+def _candidates(spec: CorpusSpec):
+    """The spec's alphabet, and the rule that gives the intervals worth
+    trying after a stable prefix, in alphabet order.  ``extend`` rejects an
+    interval that does not nest in each of the intervals two and three back
+    that the prefix has, so past a single interval only those nested in
+    their intersection are tried; an empty or one-point intersection holds
+    none."""
+    alphabet = _alphabet(spec)
+    nested = {o: [iv for iv in alphabet if o.i <= iv.i and iv.j <= o.j]
+              for o in alphabet}
+
+    def after(prefix: tuple[Interval, ...]):
+        if len(prefix) == 1:
+            return alphabet
+        b = prefix[-2]
+        if len(prefix) == 2:
+            return nested[b]
+        c = prefix[-3]
+        return nested.get((max(b.i, c.i), min(b.j, c.j)), ())
+
+    return alphabet, after
 
 
 def enumerate_snakes(spec: CorpusSpec):
     """Every snake meeting the spec, translation-normalized, exactly once,
     in deterministic order: depth first, children in alphabet order.
 
-    Every prefix kept is stable, so position k >= 3 nests in position k - 2.
-    Hence a prefix of length >= 2 is extended only by sub-intervals of its
-    second-to-last interval, and the least left end lies at position 1 or 2:
-    a normalized search stops below a length-2 prefix that misses 0 there.
+    Every prefix kept is stable, so an interval from the third on nests in
+    both the intervals two and three back, and only those are tried; the
+    least left end lies at position 1 or 2, so a normalized search stops
+    below a length-2 prefix that misses 0 there.  Each prefix carries its
+    rank floor and extreme endpoints down, one interval at a time, and a
+    search with a rank range stops below a prefix whose floor exceeds it.
     """
-    alphabet = _alphabet(spec)
-    # each interval's sub-intervals, in alphabet order: ``extend`` rejects
-    # every other interval past a prefix of length 2
-    nested = {o: [iv for iv in alphabet if o.i <= iv.i < iv.j <= o.j]
-              for o in alphabet}
-
-    def walk(prefix: tuple[Interval, ...], bit: int | None):
-        yield prefix
-        if len(prefix) == spec.r_max or (
-                spec.translation_normalized and len(prefix) == 2
-                and 0 not in (prefix[0].i, prefix[1].i)):
+    # every rank floor is at most SPAN_CAP, so without a range none is cut
+    hi = N_CAP
+    if spec.n_range is not None:
+        lo, hi = spec.n_range
+        if max(lo, 1) > hi:
             return
-        for iv in nested[prefix[-2]] if len(prefix) >= 2 else alphabet:
-            step = extend(prefix, bit, iv)
-            if _admits(step, spec.filters):
-                yield from walk(prefix + (iv,), step.bit)
-
-    for ivs in chain.from_iterable(walk((iv,), None) for iv in alphabet):
-        if spec.translation_normalized and min(iv.i for iv in ivs) != 0:
+    alphabet, after = _candidates(spec)
+    filters, r_max, normalized = spec.filters, spec.r_max, spec.translation_normalized
+    linked = bool(filters & {"connected", "prime"})
+    boundary = "boundary" in filters
+    # frames (prefix, bit, n_min, j_max, j_min, i_max, i_min), children
+    # pushed in reverse so that they pop in alphabet order
+    stack = [((iv,), None, iv.length, iv.j, iv.j, iv.i, iv.i)
+             for iv in reversed(alphabet) if iv.length <= hi]
+    while stack:
+        prefix, bit, n_min, j_max, j_min, i_max, i_min = stack.pop()
+        if not normalized or i_min == 0:
+            for n in _ranks(n_min, j_max, j_min, i_max, spec):
+                s = Snake._of(n, prefix)
+                if not boundary or is_boundary(s):
+                    yield s
+        k = len(prefix)
+        if k == r_max or (normalized and k == 2 and i_min != 0):
             continue
-        # every candidate rank is at least the length of every interval
-        for n in _candidate_ranks(ivs, spec):
-            s = Snake._of(n, ivs)
-            if "boundary" not in spec.filters or is_boundary(s):
-                yield s
+        a = prefix[-1]
+        children = []
+        for iv in after(prefix):
+            step = extend(prefix, bit, iv)
+            if not _admits(step, filters):
+                continue
+            m = max(n_min, iv.length, pair_rank(a, iv) if linked else 0)
+            if m <= hi:
+                children.append((prefix + (iv,), step.bit, m, max(j_max, iv.j),
+                                 min(j_min, iv.j), max(i_max, iv.i), min(i_min, iv.i)))
+        children.reverse()
+        stack += children
 
 
 def oracle_factorizations(w: MonoidElement, s: Snake, cap: int = 4):
@@ -162,12 +205,12 @@ def random_snake(seed: int, spec: CorpusSpec) -> Snake:
             "n_range %r holds no rank n >= 1 to sample" % (spec.n_range,))
     import random  # here, so that importing the CLI does not load it
     rng = random.Random(seed)
-    alphabet = _alphabet(spec)
+    alphabet, after = _candidates(spec)
     for _ in range(DRAW_BUDGET):
         r = rng.randint(1, spec.r_max)
         ivs, bit = (rng.choice(alphabet),), None
         while len(ivs) < r:
-            steps = [(iv, step) for iv in alphabet
+            steps = [(iv, step) for iv in after(ivs)
                      if _admits(step := extend(ivs, bit, iv), spec.filters)]
             if not steps:
                 break

@@ -1,9 +1,11 @@
+import inspect
 from itertools import chain
 
 import pytest
 
 import snakealg as sa
 from snakealg import explorer
+from snakealg.snakes import pair_rank
 
 from conftest import boundary
 
@@ -139,6 +141,16 @@ class TestEnumeration:
     def test_respects_span(self, corpus):
         assert all(s.j_max <= 9 and s.r <= 5 for s in corpus)
 
+    @pytest.mark.parametrize("n_range", [(5, 2), (-3, 0)])
+    def test_empty_rank_range_walks_nothing(self, n_range, monkeypatch):
+        spec = sa.CorpusSpec(7, 12, n_range=n_range)
+
+        def no_step(*args):
+            raise AssertionError("enumerate_snakes walked an empty rank range")
+
+        monkeypatch.setattr(explorer, "extend", no_step)
+        assert list(sa.enumerate_snakes(spec)) == []
+
     def test_exhaustive_against_bruteforce(self):
         # cross-check the pruned search against a filterless enumeration
         spec = sa.CorpusSpec(r_max=2, span=4, filters=frozenset({"prime"}))
@@ -195,6 +207,95 @@ class TestPrunedWalk:
         for r_max, span in ((1, 3), (2, 4), (3, 5), (4, 6)):
             spec = sa.CorpusSpec(r_max, span, n_range, normalized, frozenset(filters))
             assert list(sa.enumerate_snakes(spec)) == list(reference_walk(spec)), spec
+
+
+def parent_walk(spec):
+    """The recursive walk the loop replaced, written out: a generator frame
+    per prefix, every sub-interval of the second-to-last interval tried past
+    length 2, and each yielded prefix rescanned for its ranks and its least
+    left end."""
+    alphabet = explorer._alphabet(spec)
+    nested = {o: [iv for iv in alphabet if o.i <= iv.i < iv.j <= o.j] for o in alphabet}
+    linked = spec.filters & {"connected", "prime"}
+
+    def ranks(ivs):
+        n_min = max(iv.length for iv in ivs)
+        if linked:
+            n_min = max([n_min] + [pair_rank(a, b) for a, b in zip(ivs, ivs[1:])])
+        if spec.n_range is not None:
+            lo, hi = spec.n_range
+            return list(range(max(lo, n_min), hi + 1))
+        j_max = max(iv.j for iv in ivs)
+        out = [n_min]
+        if min(iv.j for iv in ivs) == max(iv.i for iv in ivs) and j_max - 1 > n_min:
+            out.append(j_max - 1)
+        if "boundary" in spec.filters:
+            out = [n for n in out if n == j_max - 1]
+        return out
+
+    def walk(prefix, bit):
+        yield prefix
+        if len(prefix) == spec.r_max or (
+                spec.translation_normalized and len(prefix) == 2
+                and 0 not in (prefix[0].i, prefix[1].i)):
+            return
+        for iv in nested[prefix[-2]] if len(prefix) >= 2 else alphabet:
+            step = explorer.extend(prefix, bit, iv)
+            if explorer._admits(step, spec.filters):
+                yield from walk(prefix + (iv,), step.bit)
+
+    for ivs in chain.from_iterable(walk((iv,), None) for iv in alphabet):
+        if spec.translation_normalized and min(iv.i for iv in ivs) != 0:
+            continue
+        for n in ranks(ivs):
+            s = sa.Snake(n, ivs)
+            if "boundary" not in spec.filters or boundary(s):
+                yield s
+
+
+def count_extend(monkeypatch):
+    """Count the calls to ``explorer.extend`` from here on."""
+    calls = [0]
+    kernel = explorer.extend
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(explorer, "extend", counted)
+    return calls
+
+
+ATLAS = sa.CorpusSpec(7, 11, filters=frozenset({"prime"}))
+
+
+class TestLoopWalk:
+    """The explicit-stack loop lists what the recursive walk listed, in the
+    same order, at the sizes the atlas and the long-snake sample read."""
+
+    @pytest.mark.parametrize("spec", [
+        ATLAS,
+        sa.CorpusSpec(5, 9),
+        sa.CorpusSpec(5, 9, filters=frozenset({"boundary"})),
+        sa.CorpusSpec(5, 9, n_range=(2, 6), translation_normalized=False),
+    ], ids=["atlas", "r5-s9", "r5-s9-boundary", "r5-s9-raw-n2-6"])
+    def test_same_list_as_recursive_walk(self, spec):
+        assert list(sa.enumerate_snakes(spec)) == list(parent_walk(spec))
+
+    def test_extend_calls_on_the_atlas(self, monkeypatch):
+        calls = count_extend(monkeypatch)
+        assert sum(1 for _ in sa.enumerate_snakes(ATLAS)) == 13321
+        assert calls[0] <= 66450
+
+    def test_first_snake_is_lazy(self, monkeypatch):
+        spec = sa.CorpusSpec(7, 12)
+        calls = count_extend(monkeypatch)
+        next(iter(sa.enumerate_snakes(spec)))
+        assert calls[0] <= spec.r_max
+
+    def test_is_a_generator_function(self):
+        # the benchmark's tracer times generator functions only as such
+        assert inspect.isgeneratorfunction(explorer.enumerate_snakes)
 
 
 class TestWalkVerdict:
