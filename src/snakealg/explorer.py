@@ -132,11 +132,12 @@ def enumerate_snakes(spec: CorpusSpec):
     in deterministic order: depth first, children in alphabet order.
 
     Every prefix kept is stable, so an interval from the third on nests in
-    both the intervals two and three back, and only those are tried; the
-    least left end lies at position 1 or 2, so a normalized search stops
-    below a length-2 prefix that misses 0 there.  Each prefix carries its
-    rank floor and extreme endpoints down, one interval at a time, and a
-    search with a rank range stops below a prefix whose floor exceeds it.
+    every interval two or more back, and only the intervals nested in those
+    two and three back are tried; the least left end lies at position 1 or
+    2, so a normalized search stops below a length-2 prefix that misses 0
+    there.  Each prefix carries its rank floor and extreme endpoints down,
+    one interval at a time, and a search with a rank range stops below a
+    prefix whose floor exceeds it.
     """
     # every rank floor is at most SPAN_CAP, so without a range none is cut
     hi = N_CAP
