@@ -5,14 +5,15 @@ defines back again.
 All maps are verified constructively: the height property, the final
 position identity p_r = N, primality of the induced snake, the interval-set
 identity, and the bijection onto the prime descriptors of the original
-snake each raise with a witness if they fail.
+snake each raise with a witness if they fail.  The index sets
+``pr_xi`` and ``fr_xi`` are not kept in the memo: each caller reads them once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import Interval, MonoidElement, Snake
+from .core import Interval, MonoidElement, Snake, _product_exps
 from .errors import FalsifiedInvariantError, PreconditionError
 from .isomorph import SnakeIso, build_iso
 from .primesets import interval_set, pr_set, window_snake
@@ -174,27 +175,36 @@ def _bracket(h: HeightProfile, t: int, t2: int) -> tuple[int, int]:
     return first[t], last[t2]
 
 
+def _pair_elements(h: HeightProfile, brackets):
+    """The pair element (see ``omega_pair``) at each (t, t2, m, l) of
+    brackets, t < t2 with bracketing positions m and l, each interval
+    checked against N.  The snake's tables are read once, and the
+    correction at t once for each run of pairs that share t."""
+    s = h.snake
+    r, N, p = s.r, h.N, h.p_seq
+    eps, ivs = require_prime(s).eps, _induced(s)
+    at = None
+    for t, t2, m, l in brackets:
+        if m > l or not p[l - 1] <= t2 or (l < r and not t2 < p[l]):
+            raise FalsifiedInvariantError(
+                "no bracketing positions for (%d,%d) in %s" % (t, t2, s))
+        if t != at:
+            at, left = t, ()
+            if t != p[m - 1]:
+                e = eps[r - m]
+                left = (_correction(s, ivs, m - 1 - e, m - 2 + e),)
+        factors = ivs[r - l:r - m + 1] + left
+        if t2 != p[l - 1]:
+            e = eps[r - l]
+            factors += (_correction(s, ivs, l + 2 - e, l + 1 + e),)
+        yield MonoidElement(N, _product_exps(N, factors))
+
+
 def omega_pair(h: HeightProfile, t: int, t2: int) -> MonoidElement:
     """The indexing element attached to a pair of height positions t < t2:
     the product of the induced intervals read at p_m..p_l and of a boundary
     correction at each end that falls short of a bracketing position."""
-    m, l = _bracket(h, t, t2)
-    s = h.snake
-    eps = require_prime(s).eps
-    r = s.r
-    p = h.p_seq
-    if m > l or not p[l - 1] <= t2 or (l < r and not t2 < p[l]):
-        raise FalsifiedInvariantError(
-            "no bracketing positions for (%d,%d) in %s" % (t, t2, s))
-    ivs = _induced(s)
-    pairs = [(iv, 1) for iv in ivs[r - l:r - m + 1]]
-    if t != p[m - 1]:
-        e = eps[r - m]
-        pairs.append((_correction(s, ivs, m - 1 - e, m - 2 + e), 1))
-    if t2 != p[l - 1]:
-        e = eps[r - l]
-        pairs.append((_correction(s, ivs, l + 2 - e, l + 1 + e), 1))
-    return MonoidElement.from_pairs(h.N, pairs)
+    return next(_pair_elements(h, [(t, t2, *_bracket(h, t, t2))]))
 
 
 def window_image(s: Snake, t: int, t2: int) -> MonoidElement:
@@ -208,31 +218,27 @@ def window_image(s: Snake, t: int, t2: int) -> MonoidElement:
     return window_snake(s, e, e2, r - l - 1, r - m + 1).weight
 
 
-@per_snake
 def pr_xi(s: Snake) -> frozenset[MonoidElement]:
+    """The prime elements of the height function of s: its non-identity
+    generators and pair elements, in one sweep over the bracket table."""
     h = height_profile(s)
-    out = set()
-    for iv in _xi_intervals(s):
-        w = MonoidElement.generator(iv, h.N)
-        if not w.is_one:
-            out.add(w)
-    for t in range(1, h.N + 1):
-        for t2 in range(t + 1, h.N + 1):
-            w = omega_pair(h, t, t2)
-            if not w.is_one:
-                out.add(w)
+    N = h.N
+    first, last = _brackets(s)
+    out = {MonoidElement.generator(iv, N) for iv in _xi_intervals(s)}
+    out.update(_pair_elements(h, ((t, t2, first[t], last[t2]) for t in range(1, N)
+                                  for t2 in range(t + 1, N + 1))))
+    out.discard(MonoidElement.one(N))
     return frozenset(out)
 
 
-@per_snake
 def fr_xi(s: Snake) -> frozenset[MonoidElement]:
     h = height_profile(s)
+    N = h.N
     out = set()
-    for t in range(1, h.N + 1):
+    for t in range(1, N + 1):
         i, j = h.i_xi(t), h.j_xi(t)
-        w = MonoidElement.from_pairs(h.N, ((Interval(i, j), 1), (Interval(i - 1, j - 1), 1)))
-        if not w.is_one:
-            out.add(w)
+        out.add(MonoidElement(N, _product_exps(N, (Interval(i, j), Interval(i - 1, j - 1)))))
+    out.discard(MonoidElement.one(N))
     return frozenset(out)
 
 

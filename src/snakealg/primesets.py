@@ -1,12 +1,13 @@
 """Interval sets attached to a prime snake, window snakes, and the prime and
-distinguished descriptor sets used as the factorization alphabet."""
+distinguished descriptor sets used as the factorization alphabet.  A window
+weight is formed straight from the intervals of the one walk ``window_cuts``."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain
 
-from .core import Interval, MonoidElement, Snake, _check_interval, is_trivial
+from .core import Interval, MonoidElement, Snake, _check_interval, _product_exps, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
 from .snakes import (_classify, both_ends_differ, crossed, is_boundary, linked,
                      pair_rank, per_snake, require_prime)
@@ -144,18 +145,18 @@ class PrimeDescriptor(namedtuple("PrimeDescriptor", "kind intervals weight")):
 def _descriptors(n: int, entries) -> tuple[PrimeDescriptor, ...]:
     """Descriptors of the (kind, intervals) entries, without the identity and
     keeping the first descriptor of each weight.  A weight is the product of
-    its intervals: each is checked against the rank, trivial ones drop out
-    and repeats add up."""
-    out = []
-    seen = set()
+    its intervals.  A window's is its sorted intervals as they are, each as
+    the (interval, 1) pair the call's windows share: a window is prime, so no
+    interval is trivial or repeated, and each is within the rank (a slice's
+    are the checked snake's, a side term is checked in ``_side_terms``).  In
+    any other weight each interval is checked against the rank, trivial ones
+    drop out and repeats add up."""
+    out, seen, pair = [], set(), {}
     for kind, ivs in entries:
-        acc: dict[Interval, int] = {}
-        for iv in ivs:
-            if 0 < iv.j - iv.i <= n:
-                acc[iv] = acc.get(iv, 0) + 1
-            elif not is_trivial(iv, n):
-                _check_interval(iv, n)
-        exps = tuple(sorted(acc.items()))
+        if kind == "window":
+            exps = tuple([pair.get(iv) or pair.setdefault(iv, (iv, 1)) for iv in sorted(ivs)])
+        else:
+            exps = _product_exps(n, ivs)
         if exps and exps not in seen:
             seen.add(exps)
             out.append(PrimeDescriptor(kind, ivs, MonoidElement(n, exps)))

@@ -6,7 +6,7 @@ import pytest
 import snakealg as sa
 from snakealg import snakes
 from snakealg.factorizer import snake_context
-from snakealg.primesets import descriptor_index
+from snakealg.primesets import PrimeDescriptor, descriptor_index, window_cuts
 
 S2_TEXT = "[(0,2),(-1,1)] @ n=3"
 SSTAR_TEXT = "[(0,6),(-1,4),(2,5),(1,3),(3,4)] @ n=6"
@@ -51,6 +51,25 @@ def translated(s, t):
 
 def boundary(s):
     return s.j_max - s.i_min == s.n + 1 and s.j_min == s.i_max
+
+
+def checked_pr_set(s):
+    """``pr_set(s)`` built through the checked ``MonoidElement.from_pairs``:
+    a descriptor per generator (the snake's intervals up to length 2, else
+    its sorted interval set), then one per window of ``window_cuts(s)``,
+    keeping the first descriptor of each weight, without the identity."""
+    if s.r <= 2:
+        entries = [("generator", (iv,)) for iv in s.intervals]
+    else:
+        entries = [("generator", (iv,)) for iv in sorted(sa.interval_set(s))]
+        entries += [("window", ivs) for _, ivs in window_cuts(s)]
+    out, seen = [], set()
+    for kind, ivs in entries:
+        weight = sa.MonoidElement.from_pairs(s.n, ((iv, 1) for iv in ivs))
+        if not weight.is_one and weight not in seen:
+            seen.add(weight)
+            out.append(PrimeDescriptor(kind, ivs, weight))
+    return tuple(out)
 
 
 def monomials(s, max_ht):

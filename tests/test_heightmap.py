@@ -117,15 +117,6 @@ class TestPairElements:
                     l = max(k for k in ks if p[k - 1] <= t2)
                     assert hm._bracket(h, t, t2) == (m, l), (str(s), t, t2)
 
-    def test_pr_xi_builds_every_pair_through_omega_pair(self, sstar, monkeypatch,
-                                                        fresh_memo):
-        pairs = []
-        omega_pair = hm.omega_pair
-        monkeypatch.setattr(hm, "omega_pair",
-                            lambda h, t, t2: pairs.append((t, t2)) or omega_pair(h, t, t2))
-        hm.pr_xi(sstar)
-        assert pairs == [(t, t2) for t in range(1, 7) for t2 in range(t + 1, 7)]
-
     def test_bad_pair(self, sstar):
         h = hm.height_profile(sstar)
         with pytest.raises(sa.PreconditionError):
@@ -149,6 +140,26 @@ class TestIndexSets:
     def test_sstar_counts(self, sstar):
         assert len(hm.pr_xi(sstar)) == 27
         assert len(hm.fr_xi(sstar)) == 6
+
+    def test_sets_match_their_definitions(self, corpus):
+        # pr_xi: the non-identity generators of interval_set_xi and every
+        # pair element (none of which is the identity); fr_xi: one product
+        # per height position, through the checked constructor
+        for s in corpus:
+            if s.r < 3 or not boundary(s):
+                continue
+            for x in (s, s.reflect()):
+                h = hm.height_profile(x)
+                N = h.N
+                one = sa.MonoidElement.one(N)
+                gens = {sa.MonoidElement.generator(iv, N) for iv in hm.interval_set_xi(h)}
+                pairs = {hm.omega_pair(h, t, t2)
+                         for t in range(1, N + 1) for t2 in range(t + 1, N + 1)}
+                assert hm.pr_xi(x) == (gens - {one}) | pairs, str(x)
+                frozen = {sa.MonoidElement.from_pairs(N, (
+                    (sa.Interval(h.i_xi(t), h.j_xi(t)), 1),
+                    (sa.Interval(h.i_xi(t) - 1, h.j_xi(t) - 1), 1))) for t in range(1, N + 1)}
+                assert hm.fr_xi(x) == frozen - {one}, str(x)
 
     def test_sstar_bijection(self, sstar):
         image = hm.pr_bijection(sstar)
@@ -196,6 +207,13 @@ class TestClusterExport:
         snakes._memo.cache_clear()
         hm.cluster_export(sstar)
         assert calls == [(hm.snake_of_xi(sstar), sstar)]
+
+    def test_keeps_no_height_side_set(self, sstar, fresh_memo):
+        doc = hm.cluster_export(sstar)
+        kept = {fn.__name__ for fn in snakes._memo(sstar)}
+        assert "window_cuts" in kept
+        assert not kept & {"pr_xi", "fr_xi"}
+        assert hm.cluster_export(sstar) == doc
 
     def test_derives_each_fact_once(self, sstar, monkeypatch):
         calls = []

@@ -9,7 +9,7 @@ import pytest
 import snakealg as sa
 from snakealg import heightmap as hm
 
-from conftest import boundary, check_levels, check_shat_rule
+from conftest import boundary, check_levels, check_shat_rule, checked_pr_set
 
 SAMPLE = 250
 # seeded submonoid elements per boundary snake for the transport check
@@ -105,3 +105,10 @@ def test_oracle_and_reflection_on_long_snakes(long_snakes):
             x.exps for x in mirrored), (str(s), str(w))
         checked += 1
     assert checked == 84
+
+
+@pytest.mark.slow
+def test_pr_set_matches_checked_construction_on_long_snakes(long_snakes):
+    for s in long_snakes:
+        for x in (s, s.reflect()):
+            assert sa.pr_set(x) == checked_pr_set(x), str(x)

@@ -5,6 +5,8 @@ import snakealg as sa
 from snakealg import Interval, MonoidElement, primesets, snakes
 from snakealg.primesets import window_cuts
 
+from conftest import checked_pr_set
+
 
 SSTAR_TILDE = {(-1, 4), (-1, 5), (-1, 6), (0, 4), (0, 5), (0, 6), (1, 3),
                (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)}
@@ -173,6 +175,13 @@ class TestDescriptorSets:
                 assert not d.weight.is_one
                 assert d.weight == MonoidElement.from_pairs(
                     s.n, ((iv, 1) for iv in d.intervals))
+
+    def test_pr_set_matches_checked_construction(self, corpus):
+        # window weights are formed unchecked from their intervals; the
+        # checked constructor must give the same descriptors in the same order
+        for s in corpus:
+            for x in (s, s.reflect()):
+                assert sa.pr_set(x) == checked_pr_set(x), str(x)
 
     def test_fr_empty_for_singletons(self):
         assert sa.fr_set(sa.parse_snake("[(0,2)] @ n=3")) == ()
