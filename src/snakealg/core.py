@@ -47,18 +47,6 @@ def is_trivial(iv: Interval, n: int) -> bool:
     return iv.j - iv.i in (0, n + 1)
 
 
-def _product_exps(n: int, ivs) -> tuple[tuple[Interval, int], ...]:
-    """The ``exps`` of the product of the intervals ivs at rank n: each is
-    checked against the rank, trivial ones drop out and repeats add up."""
-    acc: dict[Interval, int] = {}
-    for iv in ivs:
-        if 0 < iv.j - iv.i <= n:
-            acc[iv] = acc.get(iv, 0) + 1
-        elif not is_trivial(iv, n):
-            _check_interval(iv, n)
-    return tuple(sorted(acc.items()))
-
-
 class _Value:
     """A frozen value with slots.  ``__match_args__`` names its fields: the
     constructor sets them unchecked, in that order, and equality, the repr

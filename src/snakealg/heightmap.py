@@ -5,18 +5,18 @@ defines back again.
 All maps are verified constructively: the height property, the final
 position identity p_r = N, primality of the induced snake, the interval-set
 identity, and the bijection onto the prime descriptors of the original
-snake each raise with a witness if they fail.  The index sets
-``pr_xi`` and ``fr_xi`` are not kept in the memo: each caller reads them once.
+snake each raise with a witness if they fail.  The index sets ``pr_xi`` and
+``fr_xi`` are not kept in the memo: each caller reads them once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import Interval, MonoidElement, Snake, _product_exps
+from .core import Interval, MonoidElement, Snake
 from .errors import FalsifiedInvariantError, PreconditionError
 from .isomorph import SnakeIso, build_iso
-from .primesets import interval_set, pr_set, window_snake
+from .primesets import _product_exps, interval_set, pr_set, window_snake
 from .snakes import both_ends_differ, classify, is_boundary, per_snake, require_prime
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain
 
-from .core import Interval, MonoidElement, Snake, _check_interval, _product_exps, is_trivial
+from .core import Interval, MonoidElement, Snake, _check_interval, is_trivial
 from .errors import FalsifiedInvariantError, PreconditionError
 from .snakes import (_classify, both_ends_differ, crossed, is_boundary, linked,
                      pair_rank, per_snake, require_prime)
@@ -140,6 +140,18 @@ class PrimeDescriptor(namedtuple("PrimeDescriptor", "kind intervals weight")):
 
     def __str__(self):
         return "%s[%s]" % (self.kind, ",".join(str(iv) for iv in self.intervals))
+
+
+def _product_exps(n: int, ivs) -> tuple[tuple[Interval, int], ...]:
+    """The ``exps`` of the product of the intervals ivs at rank n: each is
+    checked against the rank, trivial ones drop out and repeats add up."""
+    acc: dict[Interval, int] = {}
+    for iv in ivs:
+        if 0 < iv.j - iv.i <= n:
+            acc[iv] = acc.get(iv, 0) + 1
+        elif not is_trivial(iv, n):
+            _check_interval(iv, n)
+    return tuple(sorted(acc.items()))
 
 
 def _descriptors(n: int, entries) -> tuple[PrimeDescriptor, ...]:
