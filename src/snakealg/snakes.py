@@ -20,8 +20,7 @@ def _memo(s: Snake) -> dict:
 
 def per_snake(fn):
     """Keep ``fn(s)``, never None, in the memo of s; a call that raises keeps
-    nothing.  ``keep(s, value)`` records a value of ``fn(s)`` known without
-    the call, unless the memo of s already holds one."""
+    nothing."""
     @wraps(fn)
     def memoized(s: Snake):
         slot = _memo(s)
@@ -29,7 +28,6 @@ def per_snake(fn):
         if value is None:
             value = slot[fn] = fn(s)
         return value
-    memoized.keep = lambda s, value: _memo(s).setdefault(fn, value)
     return memoized
 
 
@@ -180,7 +178,7 @@ def prime_tail(s: Snake) -> Snake:
     if s.r < 3:
         raise PreconditionError("a prime tail needs length >= 3, got %d" % s.r)
     t = s.subsnake(2, s.r)
-    classify.keep(t, SnakeClassification(True, True, True, eps[1:]))
+    _memo(t).setdefault(_classify, SnakeClassification(True, True, True, eps[1:]))
     return t
 
 
