@@ -1,13 +1,16 @@
 """Command-line interface.
 
 One JSON document per invocation on stdout.  Exit codes: 0 success, 2 bad
-input, 3 precondition violation, 4 falsified invariant (with witness).
+input, 3 precondition violation, 4 falsified invariant (with witness).  A
+reader that closes stdout early cuts the document short; the exit code stays
+that of the document, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import explorer, factorizer, grothendieck, heightmap, isomorph, primesets, snakes
@@ -20,8 +23,14 @@ MAX_LISTED_FACTORS = 10000
 
 
 def _emit(doc) -> int:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; what is left of the document goes to the null
+        # device, so the flush at exit raises nothing (see the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -34,6 +34,13 @@ class Interval(namedtuple("Interval", "i j")):
         return "(%d,%d)" % (self.i, self.j)
 
 
+def _as_interval(iv) -> Interval:
+    try:
+        return Interval(*iv)
+    except TypeError:
+        raise PreconditionError("an interval must be a pair, got %r" % (iv,)) from None
+
+
 def _check_interval(iv: Interval, n: int) -> None:
     if type(iv.i) is not int or type(iv.j) is not int:
         raise PreconditionError("interval endpoints must be integers, got %r" % (iv,))
@@ -117,7 +124,7 @@ class MonoidElement(_Value):
         items = []
         for iv, e in exponents.items():
             if type(iv) is not Interval:
-                iv = Interval(*iv)
+                iv = _as_interval(iv)
             i, j = iv
             if type(i) is not int or type(j) is not int:
                 _check_interval(iv, n)
@@ -137,7 +144,12 @@ class MonoidElement(_Value):
     def from_pairs(n: int, pairs) -> "MonoidElement":
         """The product of (interval, exponent) pairs; repeated intervals add up."""
         acc: dict[Interval, int] = {}
-        for iv, e in pairs:
+        for pair in pairs:
+            try:
+                iv, e = pair
+            except (TypeError, ValueError):
+                raise PreconditionError(
+                    "a factor must be an (interval, exponent) pair, got %r" % (pair,)) from None
             if type(e) is not int:
                 raise _exponent_error(iv, e)
             acc[iv] = acc.get(iv, 0) + e
@@ -267,7 +279,11 @@ class Snake(_Value):
             raise PreconditionError("rank must be >= 1")
         if not intervals:
             raise PreconditionError("snake must have at least one interval")
-        ivs = tuple(Interval(*iv) for iv in intervals)
+        try:
+            ivs = tuple(_as_interval(iv) for iv in intervals)
+        except TypeError:
+            raise PreconditionError(
+                "snake intervals must be a sequence of pairs, got %r" % (intervals,)) from None
         for iv in ivs:
             _check_interval(iv, n)
         _Value.__init__(self, n, ivs)

@@ -294,6 +294,19 @@ class TestEnumerate:
         assert doc == {"count": 0, "snakes": []}
 
 
+    def test_reader_that_closes_early(self):
+        # about 1 MB of output, far more than a pipe buffer holds
+        src = os.path.dirname(os.path.dirname(sa.__file__))
+        p = subprocess.Popen([sys.executable, "-m", "snakealg.cli", "enumerate", "--r-max", "6",
+                              "--span", "9"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert len(p.stdout.read(100)) == 100
+        p.stdout.close()
+        assert p.stderr.read() == b""
+        assert p.wait() == 0
+        p.stderr.close()
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         code, doc = run(capsys, "selftest")

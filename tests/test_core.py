@@ -97,6 +97,25 @@ class TestMonoidElement:
         with pytest.raises(sa.PreconditionError, match=r"^rank must be an integer, got "):
             MonoidElement.from_exponents(n, {Interval(0, 2): 1})
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Snake(6, ((1, 2, 3),)), r"an interval must be a pair, got \(1, 2, 3\)"),
+        (lambda: Snake(6, (5,)), r"an interval must be a pair, got 5"),
+        (lambda: Snake(6, 5), r"snake intervals must be a sequence of pairs, got 5"),
+        (lambda: MonoidElement.from_exponents(6, {(1, 2, 3): 1}),
+         r"an interval must be a pair, got \(1, 2, 3\)"),
+        (lambda: MonoidElement.generator((0, 1, 2), 6),
+         r"an interval must be a pair, got \(0, 1, 2\)"),
+        (lambda: MonoidElement.from_pairs(6, [((0, 1), 1, 2)]),
+         r"a factor must be an \(interval, exponent\) pair, got \(\(0, 1\), 1, 2\)"),
+        (lambda: MonoidElement.from_pairs(6, [5]),
+         r"a factor must be an \(interval, exponent\) pair, got 5"),
+    ], ids=["snake-triple", "snake-int-member", "snake-int", "from-exponents-triple",
+            "generator-triple", "from-pairs-triple", "from-pairs-int"])
+    def test_malformed_interval_rejected(self, build, message):
+        # each once raised a bare TypeError or ValueError
+        with pytest.raises(sa.PreconditionError, match="^%s$" % message):
+            build()
+
     def test_plain_tuple_keys(self):
         w = MonoidElement.from_exponents(6, {(0, 6): 1, (-1, 4): 2, (2, 2): 1})
         assert w == gen(0, 6) * gen(-1, 4) * gen(-1, 4)

@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 
 import snakealg as sa
 from snakealg import snakes
 
-from conftest import boundary, translated
+from conftest import boundary, monomials, translated
 
 
 def snake(text):
@@ -94,6 +96,49 @@ class TestPrimeTail:
             snakes.prime_tail(snake("[(0,2),(-1,1)] @ n=3"))
         with pytest.raises(sa.PreconditionError, match="^snake is not prime"):
             snakes.prime_tail(snake("[(0,4),(2,5),(0,3)] @ n=5"))
+
+
+class TestWrappedFunctions:
+    """A memoized function is a plain function of its snake, so the library
+    still works when a caller replaces its public functions by wrappers at
+    every module attribute that holds them, as a tracer does."""
+
+    # the functions a span tracer times, by module
+    TIMED = {"core": ("parse_snake", "parse_monoid_element"),
+             "snakes": ("classify", "check_enumeration"),
+             "primesets": ("pr_set", "fr_set", "descriptor_index"),
+             "factorizer": ("factor",),
+             "grothendieck": ("exchange_triple",),
+             "heightmap": ("height_profile", "pr_bijection", "cluster_export"),
+             "isomorph": ("build_iso",),
+             "explorer": ("enumerate_snakes",)}
+
+    @staticmethod
+    def results(s):
+        return ([sa.factor(w, s) for w in monomials(s, 2)],
+                sa.exchange_triple(s), sa.cluster_export(s))
+
+    def test_results_unchanged(self, sstar, fresh_memo, monkeypatch):
+        expected = self.results(sstar)
+        snakes._memo.cache_clear()
+
+        def wrap(f):
+            return lambda *a, **k: f(*a, **k)
+
+        memoized = snakes.per_snake(len).__code__
+        timed = {id(getattr(sys.modules["snakealg." + mod], attr))
+                 for mod, attrs in self.TIMED.items() for attr in attrs}
+        wrappers = {}
+        for name, m in sorted(sys.modules.items()):
+            if name != "snakealg" and not name.startswith("snakealg."):
+                continue
+            for key, value in list(vars(m).items()):
+                if id(value) in timed or getattr(value, "__code__", None) is memoized:
+                    if id(value) not in wrappers:
+                        wrappers[id(value)] = wrap(value)
+                    monkeypatch.setattr(m, key, wrappers[id(value)])
+        assert len(wrappers) > len(timed)
+        assert self.results(sstar) == expected
 
 
 class TestEnumeration:
