@@ -197,10 +197,6 @@ class MonoidElement(_Value):
     def is_one(self) -> bool:
         return not self.exps
 
-    @property
-    def support(self) -> tuple[Interval, ...]:
-        return tuple(iv for iv, _ in self.exps)
-
     # -- symmetries ---------------------------------------------------------
 
     def reflect(self) -> "MonoidElement":

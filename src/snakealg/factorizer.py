@@ -13,8 +13,9 @@ have the same rank, so an interval names the same generator in each, and
 each works on an element as a map from interval to exponent.  The ledger
 peels the whole multiplicity of a case in one step, so its cost depends on
 the support of an element, not on its height.  An element that lives wholly
-over the tail goes to the tail's context, one level at a time, and only the
-top-level call checks the weight, unless that check fails (see ``factor``).
+over the tail goes to the tail's context, one level at a time.  Each level
+takes the weight of every factor it finds out of what it was handed, so one
+whose factors do not multiply back to that raises at once, naming its snake.
 """
 
 from __future__ import annotations
@@ -115,19 +116,6 @@ class SnakeContext:
             ctx = compiled[t] = SnakeContext(t, self.exps, self.alphabet, self.index, compiled)
         return ctx
 
-    def _hand(self, ctx: "SnakeContext", v: dict[Interval, int], counts: dict[int, int],
-              checked: bool) -> dict[int, int]:
-        """Add the factors of v, in the submonoid of the context ctx, over it
-        to counts, and return counts: by its solve if checked, which leaves v
-        as it is, else by its ledger, which consumes v (a failed unchecked
-        pass is run again checked, so no message shows it)."""
-        if checked:
-            for k, m in ctx.solve(v, True).items():
-                counts[k] = counts.get(k, 0) + m
-        else:
-            ctx._ledger(ctx, v, counts, False)
-        return counts
-
     def _holds(self, k: int, iv: Interval) -> bool:
         """Whether descriptor k holds the interval iv, which is not trivial
         (so it is one of k's intervals exactly when it is in k's weight)."""
@@ -135,20 +123,12 @@ class SnakeContext:
 
     # -- the ledger ---------------------------------------------------------
 
-    def solve(self, v: dict[Interval, int], checked: bool) -> dict[int, int]:
+    def solve(self, v: dict[Interval, int]) -> dict[int, int]:
         """Multiplicity of each descriptor in the canonical factorization of
-        the element v, checked to multiply back to v (checked: at every level)."""
+        the element v, which the ledger uses up: each level raises, naming its
+        snake, if the factors it finds leave anything of what it was handed."""
         counts: dict[int, int] = {}
-        if v:
-            self._ledger(self, dict(v), counts, checked)
-        total: dict[Interval, int] = {}
-        for k, m in counts.items():
-            for c, e in self.exps[k]:
-                total[c] = total.get(c, 0) + e * m
-        if total != v:
-            raise FalsifiedInvariantError(
-                "weight recovery failed for %s over %s: got %s"
-                % (self.element(v), self.snake, self.element(total)))
+        self._ledger(self, v, counts)
         return counts
 
     def _emit(self, counts, peel, m) -> int:
@@ -192,10 +172,12 @@ class SnakeContext:
         self.p1 = self._peel(g1)
         return SnakeContext._head
 
-    def _greedy(self, v, counts, checked):
+    def _greedy(self, v, counts):
         """The ledger for r <= 2: each descriptor of s in canonical order
         takes as many copies as are left.  The pair is the only descriptor of
-        height 2, so it takes min(a, b) and the generators take the rest."""
+        height 2, so it takes min(a, b) and the generators take the rest.  An
+        exponent left over is weight that no descriptor of s accounts for."""
+        handed = dict(v)
         for k in self.own:
             exps = self.exps[k]
             if not v.get(exps[0][0]):  # off the support
@@ -205,8 +187,13 @@ class SnakeContext:
                 counts[k] = counts.get(k, 0) + m
                 for c, e in exps:
                     v[c] -= e * m
+        if any(v.values()):
+            raise FalsifiedInvariantError(
+                "weight recovery failed for %s over %s: got %s"
+                % (self.element(handed), self.snake,
+                   self.element({c: e - v[c] for c, e in handed.items() if e != v[c]})))
 
-    def _head(self, v, counts, checked):
+    def _head(self, v, counts):
         """The main ledger, for r >= 3 and either first alternation bit.
 
         Each pass peels one case with its whole multiplicity.  While a run of
@@ -216,9 +203,9 @@ class SnakeContext:
         # a head generator that is not a generator of s is never a key of v
         g1, _, g3, g4, g22, g23 = self.head
         while v:
-            # v lives over the tail (self.tail is its gens); its ledger consumes v
+            # v lives over the tail (self.tail is its gens); its ledger uses v up
             if self.tail.issuperset(v):
-                self._hand(self.tail_ctx, v, counts, checked)
+                self.tail_ctx._ledger(self.tail_ctx, v, counts)
                 return
             # anti-connected extremal generator splits off freely
             if g4 in v:
@@ -246,29 +233,29 @@ class SnakeContext:
                 self._take(v, counts, self.p1, a1 - a22)
                 continue
             if self.slant in v:
-                self._slanted_prefix(v, counts, checked)
+                self._slanted_prefix(v, counts)
                 continue
-            self._prefix_windows(v, counts, checked)
-            return
+            self._prefix_windows(v, counts)
 
-    def _slanted_prefix(self, v, counts, checked):
+    def _slanted_prefix(self, v, counts):
         """Peel the slanted prefix through the extended snake ŝ of length r-1."""
         shat = self.shat_ctx
         g1, g2, g22 = self.head[0], self.head[1], self.head[4]
         what = {iv: e for iv, e in v.items() if iv != g1 and iv != g22}
         shat._check_member(what)
-        special = [(k, m) for k, m in self._hand(shat, what, {}, checked).items()
-                   if self._holds(k, g2)]
+        special = [(k, m) for k, m in shat.solve(what).items() if self._holds(k, g2)]
         if not special:
+            # shat's ledger used up what; v still holds it
             raise FalsifiedInvariantError(
-                "no prefix-bearing factor for %s over %s"
-                % (self.element(what), shat.snake))
+                "no prefix-bearing factor for %s over %s" % (self.element(
+                    {iv: e for iv, e in v.items() if iv != g1 and iv != g22}), shat.snake))
         for k, m in special:
             self._take(v, counts, (k, self.alphabet[k].intervals), m)
 
-    def _prefix_windows(self, v, counts, checked):
-        """Final case: push everything through the tail and re-read the
-        factors that carry the second interval as prefix windows of s."""
+    def _prefix_windows(self, v, counts):
+        """Final case: push everything but the head interval through the tail
+        and re-read the factors that carry the second interval as prefix
+        windows of s, the first of which absorb the head interval."""
         g1, g22 = self.head[0], self.head[4]
         a1, c = v.get(g1, 0), v.get(g22, 0)
         if c == 0:
@@ -279,7 +266,7 @@ class SnakeContext:
         windows = self._prefix_table()
         tail._check_member(wtil)
         special = []
-        for k, m in sorted(self._hand(tail, wtil, {}, checked).items()):
+        for k, m in sorted(tail.solve(wtil).items()):
             if self._holds(k, g22):
                 special.append((k, m))
             else:
@@ -293,9 +280,11 @@ class SnakeContext:
         for k, m in special:
             window = windows.get(k)
             if window is None:
+                # the tail's ledger used up wtil; v still holds it
                 raise FalsifiedInvariantError(
                     "factor %s of %s is not a prefix window of %s"
-                    % (self.alphabet[k].weight, self.element(wtil), self.snake))
+                    % (self.alphabet[k].weight,
+                       self.element({iv: e for iv, e in v.items() if iv != g1}), self.snake))
             annotated.append((window[0], k, m))
         # the first a1 windows in compatibility order absorb the head interval
         annotated.sort()
@@ -306,23 +295,37 @@ class SnakeContext:
                 self._emit(counts, windows[k][1], a)
             if m - a:
                 counts[k] = counts.get(k, 0) + m - a
+        # that is all of v: the tail used up everything but g1, ``_head``
+        # comes here only with a1 <= c and found == c, so the windows absorb
+        # every copy of g1, and each product weighs its window times g1
+        # (checked in ``_prefix_table``)
+        v.clear()
 
     def _prefix_table(self):
         """Per descriptor that is a prefix window of s: its compatibility
-        order, and the peel of its product with g1.  ``_prefix_windows``
-        raises on any other factor that holds the second interval before it
-        reads the table.  Compiled on first use."""
+        order, and the peel of its product with g1, checked to weigh the
+        window times g1: no ledger takes that weight out of its map.
+        ``_prefix_windows`` raises on any other factor that holds the second
+        interval before it reads the table.  Compiled on first use and kept
+        once complete."""
         if self._windows is None:
             s = self.snake
             g1 = s.intervals[0]
-            self._windows = windows = {}
+            windows = {}
             for (p, l, e, e2), ivs in window_cuts(s):
                 if p == 0 and e == 0:
                     # compatibility ordering: even-parity windows ascending,
                     # then odd-parity windows descending
                     order = (0, 2 * l + e2) if (l + e2) % 2 == 0 else (1, -(2 * l + e2))
                     # a prime window has distinct, non-trivial intervals
-                    windows[self._peel(*ivs)[0]] = order, self._peel(g1, *ivs)
+                    k, (kp, with_g1) = self._peel(*ivs)[0], self._peel(g1, *ivs)
+                    weight = tuple(sorted((c, 1) for c in with_g1))
+                    if kp is not None and self.exps[kp] != weight:
+                        raise FalsifiedInvariantError(
+                            "prefix window product %s weighs %s over %s"
+                            % (self.element(dict(weight)), self.element(dict(self.exps[kp])), s))
+                    windows[k] = order, (kp, with_g1)
+            self._windows = windows
         return self._windows
 
 
@@ -380,12 +383,7 @@ _set_pairs = Factorization.pairs.__set__
 def factor(w: MonoidElement, s: Snake) -> Factorization:
     """The canonical prime factorization of w over s."""
     ctx = snake_context(s)
-    v = ctx.vector(w)
-    try:
-        counts = ctx.solve(v, False)
-    except (FalsifiedInvariantError, PreconditionError):
-        # again with every level checked, so that the innermost failure is named
-        counts = ctx.solve(v, True)
+    counts = ctx.solve(ctx.vector(w))
     ks = sorted(counts)
     return Factorization(tuple(zip(map(ctx.alphabet.__getitem__, ks), map(counts.get, ks))))
 

@@ -217,7 +217,8 @@ class TestOneCheckedPass:
         f = sa.factor(w("w{1,3}^2 * w{1,4} * w{3,4}"), sstar)
         assert [str(d) for d in f.factors] == [
             "window[(1,3),(3,4)]", "generator[(1,3)]", "generator[(1,4)]"]
-        # one ledger per snake of the tail chain, and one weight check
+        # one ledger per snake of the tail chain, each on its parent's map,
+        # and one solve, at the top
         assert runs == [ctx.snake for ctx in chain]
         assert solves == [sstar]
 
@@ -257,6 +258,76 @@ class TestOneCheckedPass:
             sa.factor(w("w{0,6}"), sstar)
         assert str(info.value) == (
             "descriptor weight interval (0,3) is not a generator of %s" % sstar)
+
+    def test_failed_window_walk_is_not_kept(self, sstar, monkeypatch, fresh_memo):
+        # the walk of sstar's prefix windows fails once: that failure is the
+        # one reported, and the next call builds the whole table
+        calls = []
+
+        def flaky(s):
+            calls.append(s)
+            if len(calls) == 1:
+                raise sa.FalsifiedInvariantError("window walk failed for %s" % s)
+            return window_cuts(s)
+        monkeypatch.setattr(factorizer, "window_cuts", flaky)
+        with pytest.raises(sa.FalsifiedInvariantError) as info:
+            sa.factor(w("w{0,6} * w{-1,4}"), sstar)
+        assert str(info.value) == "window walk failed for %s" % sstar
+        f = sa.factor(w("w{0,6} * w{-1,4}"), sstar)
+        assert [str(d) for d in f.factors] == ["window[(0,6),(-1,4)]"]
+
+    @pytest.mark.parametrize("attr, value, element, message", [
+        ("_holds", lambda k, iv: False, "w{0,4}",
+         "no prefix-bearing factor for w{0,4} over [(0,4),(2,5),(1,3),(3,4)] @ n=6"),
+        ("tail", frozenset(), "w{1,3}", "ledger exhausted for w{1,3} over %s"),
+        ("_holds", lambda k, iv: False, "w{0,6} * w{-1,4}",
+         "expected 1 prefix-window factors for w{-1,4} * w{0,6} over %s, found 0"),
+        ("_windows", {}, "w{0,6} * w{-1,4}",
+         "factor w{-1,4} of w{-1,4} is not a prefix window of %s"),
+    ], ids=["no-prefix-bearing-factor", "ledger-exhausted", "prefix-window-count",
+            "not-a-prefix-window"])
+    def test_ledger_raises_name_their_case(self, sstar, monkeypatch, attr, value,
+                                           element, message):
+        # one field of sstar's context is falsified, after its window table
+        # is built
+        ctx = snake_context(sstar)
+        ctx._prefix_table()
+        monkeypatch.setattr(ctx, attr, value)
+        with pytest.raises(sa.FalsifiedInvariantError) as info:
+            sa.factor(w(element), sstar)
+        assert str(info.value) == (message % sstar if "%s" in message else message)
+
+    def test_corrupt_window_product_names_the_snake(self, sstar, monkeypatch, fresh_memo):
+        # every product of g1 with a prefix window of sstar weighs one more
+        # copy of the window's last interval in sstar's context; no ledger
+        # takes that weight out of its map, so the window table checks it.
+        # Those that fail are the elements whose factorization holds such a
+        # product.
+        g1 = sstar.intervals[0]
+        products = {d.weight for d in sa.pr_set(sstar)
+                    if d.kind == "window" and d.intervals[0] == g1}
+        elements = list(monomials(sstar, 3))
+        expected = [m for m in elements
+                    if products.intersection(d.weight for d in sa.factor(m, sstar).factors)]
+        assert (len(elements), len(expected)) == (455, 11)
+        snakes._memo.cache_clear()  # so the window table is built again
+        ctx = snake_context(sstar)
+        exps = list(ctx.exps)
+        for (p, _, e, _), ivs in window_cuts(sstar):
+            if p == 0 and e == 0:
+                k = ctx.find([(g1, 1)] + [(iv, 1) for iv in ivs])
+                weight = dict(exps[k])
+                weight[ivs[-1]] += 1
+                exps[k] = tuple(sorted(weight.items()))
+        monkeypatch.setattr(ctx, "exps", tuple(exps))
+        failed = []
+        for m in elements:
+            try:
+                sa.factor(m, sstar)
+            except sa.FalsifiedInvariantError as exc:
+                assert str(sstar) in str(exc), str(exc)
+                failed.append(m)
+        assert failed == expected
 
 
 def stack_depth():
