@@ -279,23 +279,23 @@ class TestOneCheckedPass:
     @pytest.mark.parametrize("attr, value, element, message", [
         ("_holds", lambda k, iv: False, "w{0,4}",
          "no prefix-bearing factor for w{0,4} over [(0,4),(2,5),(1,3),(3,4)] @ n=6"),
-        ("tail", frozenset(), "w{1,3}", "ledger exhausted for w{1,3} over %s"),
+        ("tail", frozenset(), "w{1,3}", "ledger exhausted for w{1,3} over S*"),
         ("_holds", lambda k, iv: False, "w{0,6} * w{-1,4}",
-         "expected 1 prefix-window factors for w{-1,4} * w{0,6} over %s, found 0"),
+         "expected 1 prefix-window factors for w{-1,4} * w{0,6} over S*, found 0"),
         ("_windows", {}, "w{0,6} * w{-1,4}",
-         "factor w{-1,4} of w{-1,4} is not a prefix window of %s"),
+         "factor w{-1,4} of w{-1,4} is not a prefix window of S*"),
     ], ids=["no-prefix-bearing-factor", "ledger-exhausted", "prefix-window-count",
             "not-a-prefix-window"])
     def test_ledger_raises_name_their_case(self, sstar, monkeypatch, attr, value,
                                            element, message):
-        # one field of sstar's context is falsified, after its window table
-        # is built
+        # one field of sstar's context (S*) is falsified, after its window
+        # table is built
         ctx = snake_context(sstar)
         ctx._prefix_table()
         monkeypatch.setattr(ctx, attr, value)
         with pytest.raises(sa.FalsifiedInvariantError) as info:
             sa.factor(w(element), sstar)
-        assert str(info.value) == (message % sstar if "%s" in message else message)
+        assert str(info.value) == message.replace("S*", str(sstar))
 
     def test_corrupt_window_product_names_the_snake(self, sstar, monkeypatch, fresh_memo):
         # every product of g1 with a prefix window of sstar weighs one more
